@@ -116,6 +116,8 @@ type Engine struct {
 	margin     float64
 	policy     DegradationPolicy
 	cache      *answerCache
+	// plans memoizes solved plans; every planning call goes through it.
+	plans planMemo
 	// tele holds the optional query-engine metrics. It is an atomic
 	// pointer so telemetry can be attached after construction (the ops
 	// endpoint is opt-in and may be enabled late) without racing the
@@ -335,21 +337,6 @@ func (e *Engine) EstimateOnly(q estimator.Query) (float64, error) {
 	return rankEstimate(snap, q)
 }
 
-// solveAt solves optimization problem (3) against a snapshot. Pure: it
-// touches no engine state, so read-path callers need no lock.
-func solveAt(acc estimator.Accuracy, snap snapshot) (optimize.Plan, error) {
-	prob := optimize.Problem{
-		Accuracy: acc,
-		P:        snap.rate,
-		K:        snap.nodes,
-		N:        snap.n,
-	}
-	if prob.P <= 0 {
-		return optimize.Plan{}, optimize.ErrInfeasible
-	}
-	return prob.SolveRefined()
-}
-
 // planFor solves problem (3) for the request, optionally raising the
 // sampling rate until it becomes feasible. It returns the plan together
 // with the snapshot it was solved against: the feasible fast path reuses
@@ -361,7 +348,7 @@ func (e *Engine) planFor(acc estimator.Accuracy, snap snapshot) (optimize.Plan, 
 	if err := acc.Validate(); err != nil {
 		return optimize.Plan{}, snap, err
 	}
-	plan, err := solveAt(acc, snap)
+	plan, err := e.solveAt(acc, snap)
 	if err == nil {
 		return plan, snap, nil
 	}
@@ -371,7 +358,7 @@ func (e *Engine) planFor(acc estimator.Accuracy, snap snapshot) (optimize.Plan, 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap = e.snapshotLocked()
-	if plan, err = solveAt(acc, snap); err == nil {
+	if plan, err = e.solveAt(acc, snap); err == nil {
 		return plan, snap, nil
 	}
 	if !errors.Is(err, optimize.ErrInfeasible) {
@@ -390,7 +377,7 @@ func (e *Engine) planFor(acc estimator.Accuracy, snap snapshot) (optimize.Plan, 
 			return optimize.Plan{}, snap, err
 		}
 		snap = e.snapshotLocked()
-		plan, err := solveAt(acc, snap)
+		plan, err := e.solveAt(acc, snap)
 		if err == nil {
 			return plan, snap, nil
 		}
@@ -420,5 +407,5 @@ func (e *Engine) Plan(acc estimator.Accuracy) (optimize.Plan, error) {
 	if err := acc.Validate(); err != nil {
 		return optimize.Plan{}, err
 	}
-	return solveAt(acc, e.readSnapshot())
+	return e.solveAt(acc, e.readSnapshot())
 }

@@ -31,6 +31,10 @@ type Metrics struct {
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 
+	planMemoHits   *telemetry.Counter
+	planMemoMisses *telemetry.Counter
+	planMemoEvicts *telemetry.Counter
+
 	batchesIndex      *telemetry.Counter
 	batchesSequential *telemetry.Counter
 	batchQueries      *telemetry.Counter
@@ -51,6 +55,10 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		return append([]telemetry.Label{telemetry.L("outcome", tag)}, labels...)
 	}
 	const qHelp = "queries answered, by outcome"
+	memo := func(result string) []telemetry.Label {
+		return append([]telemetry.Label{telemetry.L("result", result)}, labels...)
+	}
+	const memoHelp = "plan memo lookups (hit, miss) and entries evicted (evict)"
 	return &Metrics{
 		queriesOK:       r.Counter("privrange_core_queries_total", qHelp, outcome(outcomeOK)...),
 		queriesDegraded: r.Counter("privrange_core_queries_total", qHelp, outcome(outcomeDegraded)...),
@@ -60,6 +68,10 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 
 		cacheHits:   r.Counter("privrange_core_cache_hits_total", "answers served from the released-answer cache", labels...),
 		cacheMisses: r.Counter("privrange_core_cache_misses_total", "cache lookups that fell through to the pipeline", labels...),
+
+		planMemoHits:   r.Counter("privrange_core_plan_memo_total", memoHelp, memo("hit")...),
+		planMemoMisses: r.Counter("privrange_core_plan_memo_total", memoHelp, memo("miss")...),
+		planMemoEvicts: r.Counter("privrange_core_plan_memo_total", memoHelp, memo("evict")...),
 
 		batchesIndex:      r.Counter("privrange_core_batches_total", "batches answered, by estimation path", append([]telemetry.Label{telemetry.L("path", "index_tiled")}, labels...)...),
 		batchesSequential: r.Counter("privrange_core_batches_total", "batches answered, by estimation path", append([]telemetry.Label{telemetry.L("path", "sampleset")}, labels...)...),
@@ -112,6 +124,22 @@ func (m *Metrics) noteCacheLookup(hit bool) {
 		m.cacheHits.Inc()
 	} else {
 		m.cacheMisses.Inc()
+	}
+}
+
+// notePlanMemo records one plan-memo lookup and the entries its store
+// evicted.
+func (m *Metrics) notePlanMemo(hit bool, evicted int) {
+	if m == nil {
+		return
+	}
+	if hit {
+		m.planMemoHits.Inc()
+		return
+	}
+	m.planMemoMisses.Inc()
+	if evicted > 0 {
+		m.planMemoEvicts.Add(uint64(evicted))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"privrange/internal/telemetry"
+	"privrange/internal/wire"
 )
 
 // TestChaosBreakerEventOrdering replays the scripted breaker lifecycle
@@ -84,5 +85,65 @@ func TestChaosBreakerEventOrdering(t *testing.T) {
 	}
 	if got := m.breakerCloses.Value(); got != 1 {
 		t.Errorf("close transitions = %d, want 1", got)
+	}
+}
+
+// TestIndexRebuildFailureCountedNotFatal corrupts a stored sample set so
+// the end-of-round index build fails, then checks that collection and
+// heartbeat rounds still succeed, serve no index, and count and log
+// each failed build.
+func TestIndexRebuildFailureCountedNotFatal(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 3, 600, 67)
+	nw, err := New(parts, Config{Seed: 67})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	nw.SetTelemetry(m)
+	if _, err := nw.EnsureRate(0.3); err != nil {
+		t.Fatal(err)
+	}
+	if m.indexRebuildFailures.Value() != 0 {
+		t.Fatal("healthy round counted an index failure")
+	}
+	// A negative dataset size passes SampleSet validation but not the
+	// index's int32 column check.
+	if err := nw.base.HandleReport(&wire.SampleReport{NodeID: 0, N: -1, Replace: true}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := nw.EnsureRate(nw.Rate())
+	if err != nil {
+		t.Fatalf("failed index build failed the collection round: %v", err)
+	}
+	if _, idx, _, _, _, _, _ := nw.Snapshot(); idx != nil {
+		t.Error("snapshot serves an index after a failed build")
+	}
+	hb, err := nw.HeartbeatRound()
+	if err != nil {
+		t.Fatalf("failed index build failed the heartbeat round: %v", err)
+	}
+	if got := m.indexRebuildFailures.Value(); got != 2 {
+		t.Errorf("index rebuild failures = %d, want 2", got)
+	}
+	var got []telemetry.Event
+	for _, ev := range m.Events().Events() {
+		if ev.Type == EventIndexRebuildFailed {
+			got = append(got, ev)
+		}
+	}
+	want := []telemetry.Event{
+		{Type: EventIndexRebuildFailed, Node: -1, Round: rep.Round, Detail: roundCollection},
+		{Type: EventIndexRebuildFailed, Node: -1, Round: hb.Round, Detail: roundHeartbeat},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("index events = %+v, want %d", got, len(want))
+	}
+	for i := range want {
+		g := got[i]
+		if g.Type != want[i].Type || g.Node != want[i].Node || g.Round != want[i].Round || g.Detail != want[i].Detail {
+			t.Errorf("event %d = %+v, want %+v", i, g, want[i])
+		}
 	}
 }

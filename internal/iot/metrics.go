@@ -15,6 +15,17 @@ const (
 	EventBreakerClose    = "breaker_close"
 )
 
+// EventIndexRebuildFailed records a round whose columnar index build
+// failed: queries then estimate over the slower SampleSet path until a
+// later round builds it. The event's detail names the round kind.
+const EventIndexRebuildFailed = "index_rebuild_failed"
+
+// Round kinds carried as the detail of EventIndexRebuildFailed.
+const (
+	roundCollection = "collection"
+	roundHeartbeat  = "heartbeat"
+)
+
 // Metrics is the collection layer's telemetry: round progress, coverage
 // and rate gauges, the communication bill mirrored as counters, and the
 // breaker transition log. Everything recorded here is deployment
@@ -41,6 +52,8 @@ type Metrics struct {
 	breakerOpens     *telemetry.Counter
 	breakerHalfOpens *telemetry.Counter
 	breakerCloses    *telemetry.Counter
+
+	indexRebuildFailures *telemetry.Counter
 
 	events *telemetry.EventLog
 }
@@ -71,6 +84,8 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		breakerOpens:     r.Counter("privrange_iot_breaker_transitions_total", "circuit breaker state transitions", append([]telemetry.Label{telemetry.L("state", "open")}, labels...)...),
 		breakerHalfOpens: r.Counter("privrange_iot_breaker_transitions_total", "circuit breaker state transitions", append([]telemetry.Label{telemetry.L("state", "half_open")}, labels...)...),
 		breakerCloses:    r.Counter("privrange_iot_breaker_transitions_total", "circuit breaker state transitions", append([]telemetry.Label{telemetry.L("state", "close")}, labels...)...),
+
+		indexRebuildFailures: r.Counter("privrange_iot_index_rebuild_failures_total", "rounds whose columnar index build failed, leaving queries on the SampleSet path", labels...),
 
 		events: r.Events(),
 	}
@@ -168,4 +183,14 @@ func (m *Metrics) noteBreaker(state string, node int, round uint64) {
 		m.breakerCloses.Inc()
 	}
 	m.events.Append(state, node, round, "")
+}
+
+// noteIndexRebuildFailure records one failed end-of-round index build as
+// a counter increment and an event-log entry.
+func (m *Metrics) noteIndexRebuildFailure(round uint64, kind string) {
+	if m == nil {
+		return
+	}
+	m.indexRebuildFailures.Inc()
+	m.events.Append(EventIndexRebuildFailed, -1, round, kind)
 }

@@ -466,8 +466,11 @@ func (nw *Network) collect(p float64) (*CollectionReport, error) {
 	// lock) so every subsequent query reads it for free. A failed build
 	// only means degraded speed, never a wrong answer — Snapshot then
 	// reports no index and the broker estimates over the SampleSets —
-	// so it must not fail the round or mask its partial-round error.
-	_ = nw.base.RebuildIndex()
+	// so it must not fail the round or mask its partial-round error. It
+	// is counted and logged instead.
+	if err := nw.base.RebuildIndex(); err != nil {
+		nw.metrics.noteIndexRebuildFailure(nw.clock, roundCollection)
+	}
 	rep.Achieved = nw.rate()
 	rep.Coverage = nw.coverageLocked()
 	rep.Version = nw.base.Version()
@@ -667,7 +670,9 @@ func (nw *Network) HeartbeatRound() (*HeartbeatReport, error) {
 	}
 	// Heartbeat piggybacks can rewrite stored samples; refresh the
 	// columnar index before queries resume (best-effort, like collect).
-	_ = nw.base.RebuildIndex()
+	if err := nw.base.RebuildIndex(); err != nil {
+		nw.metrics.noteIndexRebuildFailure(nw.clock, roundHeartbeat)
+	}
 	nw.metrics.noteHeartbeat(rep, nw.coverageLocked(), nw.downCountLocked())
 	return rep, rep.Err()
 }

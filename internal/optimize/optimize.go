@@ -123,6 +123,17 @@ func (p *Problem) EpsilonForAlphaPrime(alphaPrime float64) (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
+	plan, err := p.epsilonAt(alphaPrime)
+	if err != nil {
+		return Plan{}, err
+	}
+	return p.withTau(plan), nil
+}
+
+// epsilonAt is EpsilonForAlphaPrime on an already validated problem,
+// leaving Tau unset: the searches evaluate it ~2 000 times per solve but
+// need Tau (one math.Exp) only for the winner, which withTau fills in.
+func (p *Problem) epsilonAt(alphaPrime float64) (Plan, error) {
 	alpha, delta := p.Accuracy.Alpha, p.Accuracy.Delta
 	if alphaPrime <= 0 || alphaPrime >= alpha {
 		return Plan{}, fmt.Errorf("%w: alpha' %v not in (0, %v)", ErrInfeasible, alphaPrime, alpha)
@@ -142,7 +153,6 @@ func (p *Problem) EpsilonForAlphaPrime(alphaPrime float64) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	noise := dp.Laplace{Scale: sens / eps}
 	return Plan{
 		AlphaPrime:   alphaPrime,
 		DeltaPrime:   deltaPrime,
@@ -150,14 +160,32 @@ func (p *Problem) EpsilonForAlphaPrime(alphaPrime float64) (Plan, error) {
 		EpsilonPrime: epsPrime,
 		Sensitivity:  sens,
 		NoiseScale:   sens / eps,
-		Tau:          noise.AbsCDF(slack),
 	}, nil
+}
+
+// withTau fills in the plan's noise-phase confidence Pr[|Lap| ≤ (α−α′)n]
+// from the same operands epsilonAt used, so the bits match computing it
+// inline.
+func (p *Problem) withTau(plan Plan) Plan {
+	slack := (p.Accuracy.Alpha - plan.AlphaPrime) * float64(p.N)
+	plan.Tau = dp.Laplace{Scale: plan.NoiseScale}.AbsCDF(slack)
+	return plan
 }
 
 // Solve runs the grid search over α′ and returns the plan with the
 // smallest effective budget ε′. It returns ErrInfeasible (wrapped with the
 // minimum workable sampling rate) when even α′ → α cannot reach δ.
 func (p *Problem) Solve() (Plan, error) {
+	best, err := p.solveGrid()
+	if err != nil {
+		return Plan{}, err
+	}
+	return p.withTau(best), nil
+}
+
+// solveGrid validates the problem once and runs Solve's grid search,
+// returning the winner without Tau.
+func (p *Problem) solveGrid() (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
@@ -180,7 +208,7 @@ func (p *Problem) Solve() (Plan, error) {
 	)
 	for i := 1; i < grid; i++ {
 		alphaPrime := lo + (hi-lo)*float64(i)/float64(grid)
-		plan, err := p.EpsilonForAlphaPrime(alphaPrime)
+		plan, err := p.epsilonAt(alphaPrime)
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue

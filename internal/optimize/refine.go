@@ -14,7 +14,7 @@ import (
 // resolution. The returned plan is always feasible and never worse than
 // the plain grid solution.
 func (p *Problem) SolveRefined() (Plan, error) {
-	best, err := p.Solve()
+	best, err := p.solveGrid()
 	if err != nil {
 		return Plan{}, err
 	}
@@ -28,11 +28,11 @@ func (p *Problem) SolveRefined() (Plan, error) {
 	a := math.Max(lo+1e-12, best.AlphaPrime-step)
 	b := math.Min(hi-1e-12, best.AlphaPrime+step)
 	if a >= b {
-		return best, nil
+		return p.withTau(best), nil
 	}
 
 	value := func(alphaPrime float64) (Plan, bool) {
-		plan, err := p.EpsilonForAlphaPrime(alphaPrime)
+		plan, err := p.epsilonAt(alphaPrime)
 		if err != nil {
 			return Plan{}, false
 		}
@@ -75,7 +75,7 @@ func (p *Problem) SolveRefined() (Plan, error) {
 			best = cand.plan
 		}
 	}
-	return best, nil
+	return p.withTau(best), nil
 }
 
 // IsInfeasible reports whether err (from Solve or SolveRefined) means the
