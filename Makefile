@@ -92,7 +92,7 @@ bench:
 # iteration — the CI guard that keeps the bench suite building and
 # runnable without paying for stable timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE ./internal/estimator ./internal/core ./internal/wire ./internal/market ./internal/stats ./internal/optimize
 
 # load is the serving-path gate: cmd/privload self-hosts a marketplace
 # and drives the same open-loop workload through the serial baseline

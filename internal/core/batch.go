@@ -26,10 +26,12 @@ import (
 // the per-query SampleSet path fans out instead — same values either
 // way.
 //
-// One draw from the engine's seeded RNG keys the batch; query i
-// perturbs with the independent stream (batchKey, i) (one scratch RNG
-// reseeded per query — bit-identical to allocating per-query streams),
-// so the noise is fresh per batch yet the released values are
+// One draw from the engine's release stream keys the batch; query i
+// perturbs with the independent ChaCha8 stream (batchKey, i). One
+// scratch RNG is re-keyed per query (stats.RNG.Reseed: one ChaCha8
+// block, no allocation), which is bit-identical to allocating
+// per-query streams. The release stream sits on a lane no (batchKey, i)
+// reaches, so the noise is fresh per batch yet the released values are
 // bit-identical for a fixed seed and call sequence regardless of
 // GOMAXPROCS or scheduling.
 func (e *Engine) AnswerBatch(queries []estimator.Query, acc estimator.Accuracy) ([]*Answer, error) {
@@ -85,7 +87,7 @@ func (e *Engine) answerBatch(queries []estimator.Query, acc estimator.Accuracy, 
 	e.releaseMu.Unlock()
 	// Perturbation is cheap relative to estimation, so it stays on the
 	// calling goroutine: one backing array for all answers, one scratch
-	// RNG reseeded to stream (batchKey, i) per query.
+	// RNG re-keyed to stream (batchKey, i) per query.
 	answers := make([]Answer, len(queries))
 	out = make([]*Answer, len(queries))
 	noise := stats.NewStream(batchKey, 0)

@@ -140,8 +140,17 @@ type Option func(*Engine)
 // WithSeed fixes the noise RNG seed for reproducible experiments. The
 // default seed is 1.
 func WithSeed(seed int64) Option {
-	return func(e *Engine) { e.rng = stats.NewRNG(seed) }
+	return func(e *Engine) { e.rng = releaseStream(seed) }
 }
+
+// releaseLane is the stream index of the engine's release RNG. Batch
+// streams are (batchKey, i) with i ≥ 0, so no batch query can reach
+// the release stream (seed, releaseLane), whatever its batch key.
+const releaseLane = -1
+
+// releaseStream is the engine's release RNG for seed: the ChaCha8
+// stream every single answer, aggregate and batch key draws from.
+func releaseStream(seed int64) *stats.RNG { return stats.NewStream(seed, releaseLane) }
 
 // WithAccountant attaches a shared privacy-budget accountant; every
 // answered query spends its effective ε′ there.
@@ -195,7 +204,7 @@ func New(src Source, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		src:    src,
-		rng:    stats.NewRNG(1),
+		rng:    releaseStream(1),
 		auto:   true,
 		margin: 2,
 	}

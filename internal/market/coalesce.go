@@ -100,7 +100,9 @@ func (b *Broker) Coalescer() *Coalescer { return b.coal.Load() }
 
 // buy enqueues one protocol buy and blocks until its batch settles.
 // After Close it degrades to the serial path, so shutdown never loses
-// a sale.
+// a sale; each such buy counts in
+// privrange_market_coalesce_fallback_total and logs an
+// EventCoalesceFallback.
 func (c *Coalescer) buy(req Request) saleResult {
 	pb := &pendingBuy{
 		req:  req,
@@ -116,6 +118,7 @@ func (c *Coalescer) buy(req Request) saleResult {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		c.b.tele.Load().noteCoalesceFallback()
 		resp, price, err := c.b.buyTraced(req, pb.tr)
 		return saleResult{resp: resp, price: price, err: err}
 	}
@@ -179,7 +182,8 @@ func (c *Coalescer) execute(buys []*pendingBuy) {
 
 // Close drains the coalescer: every accumulated batch executes, then
 // the executor exits. Buys enqueued after Close fall back to the
-// serial path. Safe to call twice.
+// serial path (counted as privrange_market_coalesce_fallback_total).
+// Safe to call twice.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
 	if c.closed {

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"privrange/internal/dp"
 	"privrange/internal/iot"
 	"privrange/internal/pricing"
+	"privrange/internal/telemetry"
 )
 
 // oracleBroker builds a prepaid broker over an identically-seeded
@@ -430,5 +432,54 @@ func TestCoalesceKeysDoNotMix(t *testing.T) {
 	wg.Wait()
 	if got := len(b.Ledger().Receipts()); got != 12 {
 		t.Errorf("ledger has %d receipts, want 12", got)
+	}
+}
+
+// TestCoalescerFallbackCounted: a buy after Close settles serially and
+// shows up as one fallback on the counter and in the event log.
+func TestCoalescerFallbackCounted(t *testing.T) {
+	t.Parallel()
+	b, _ := oracleBroker(t, 19)
+	reg := telemetry.NewRegistry()
+	m := NewMetrics(reg)
+	b.SetTelemetry(m)
+	if err := b.Deposit("alice", 1000); err != nil {
+		t.Fatal(err)
+	}
+	co := b.EnableCoalescing(CoalesceConfig{Window: time.Millisecond, MaxBatch: 8})
+	buy := Request{Op: "buy", Dataset: "ozone", Customer: "alice", L: 0, U: 50, Alpha: 0.1, Delta: 0.8}
+	if resp := b.Handle(buy); resp.Error != "" {
+		t.Fatalf("coalesced buy: %s", resp.Error)
+	}
+	if got := m.coalesceFallback.Value(); got != 0 {
+		t.Fatalf("fallbacks before Close = %d, want 0", got)
+	}
+	co.Close()
+	for i := 0; i < 2; i++ {
+		if resp := b.Handle(buy); resp.Error != "" {
+			t.Fatalf("post-Close buy %d: %s", i, resp.Error)
+		}
+	}
+	if got := m.coalesceFallback.Value(); got != 2 {
+		t.Errorf("fallbacks after Close = %d, want 2", got)
+	}
+	if got := len(b.Ledger().Receipts()); got != 3 {
+		t.Errorf("ledger has %d receipts, want 3", got)
+	}
+	fallbacks := 0
+	for _, ev := range reg.Events().Events() {
+		if ev.Type == EventCoalesceFallback {
+			fallbacks++
+		}
+	}
+	if fallbacks != 2 {
+		t.Errorf("event log holds %d %s events, want 2", fallbacks, EventCoalesceFallback)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "privrange_market_coalesce_fallback_total 2") {
+		t.Errorf("/metrics exposition lacks the fallback count:\n%s", buf.String())
 	}
 }

@@ -36,10 +36,11 @@ type Metrics struct {
 	bytesWritten    *telemetry.Counter
 
 	// Admission control and buy coalescing (the serving path).
-	shedTotal       *telemetry.Counter
-	inflight        *telemetry.Gauge
-	coalesceBatches *telemetry.Counter
-	coalesceFolded  *telemetry.Counter
+	shedTotal        *telemetry.Counter
+	inflight         *telemetry.Gauge
+	coalesceBatches  *telemetry.Counter
+	coalesceFolded   *telemetry.Counter
+	coalesceFallback *telemetry.Counter
 	// Engine pressure: requests dispatched into the broker/engine and
 	// not yet answered (what admission shedding should eventually key
 	// off), and pipeline slots currently held across all connections
@@ -63,7 +64,12 @@ type Metrics struct {
 	reg    *telemetry.Registry
 	spans  *telemetry.SpanBuf
 	buySLO *telemetry.SLO
+	events *telemetry.EventLog
 }
+
+// EventCoalesceFallback records a protocol buy that reached a closed
+// coalescer and settled through the serial path instead of a batch.
+const EventCoalesceFallback = "coalesce_fallback"
 
 // NewMetrics registers the marketplace's metric catalog on r.
 func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
@@ -93,10 +99,11 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		bytesRead:       r.Counter("privrange_market_bytes_read_total", "protocol bytes received", labels...),
 		bytesWritten:    r.Counter("privrange_market_bytes_written_total", "protocol bytes sent", labels...),
 
-		shedTotal:       r.Counter("privrange_market_shed_total", "requests refused by admission control with a retryable error", labels...),
-		inflight:        r.Gauge("privrange_market_inflight_requests", "requests currently admitted and executing", labels...),
-		coalesceBatches: r.Counter("privrange_market_coalesce_batches_total", "coalesced batch sales executed", labels...),
-		coalesceFolded:  r.Counter("privrange_market_coalesce_folded_total", "single-query buys folded into coalesced batches", labels...),
+		shedTotal:        r.Counter("privrange_market_shed_total", "requests refused by admission control with a retryable error", labels...),
+		inflight:         r.Gauge("privrange_market_inflight_requests", "requests currently admitted and executing", labels...),
+		coalesceBatches:  r.Counter("privrange_market_coalesce_batches_total", "coalesced batch sales executed", labels...),
+		coalesceFolded:   r.Counter("privrange_market_coalesce_folded_total", "single-query buys folded into coalesced batches", labels...),
+		coalesceFallback: r.Counter("privrange_market_coalesce_fallback_total", "protocol buys that reached a closed coalescer and settled serially", labels...),
 
 		engineQueue:       r.Gauge("privrange_market_engine_queue_depth", "requests dispatched into the broker/engine and not yet answered", labels...),
 		pipelineOccupancy: r.Gauge("privrange_market_pipeline_occupancy", "pipeline slots currently held across all connections", labels...),
@@ -112,8 +119,9 @@ func NewMetrics(r *telemetry.Registry, labels ...telemetry.Label) *Metrics {
 		buyLatency: r.Histogram("privrange_market_buy_seconds", "end-to-end Buy latency (quote, debit, answer, record)", telemetry.LatencyBuckets, labels...),
 		tracer:     r.Tracer(),
 
-		reg:   r,
-		spans: r.Spans(),
+		reg:    r,
+		spans:  r.Spans(),
+		events: r.Events(),
 	}
 }
 
@@ -380,6 +388,16 @@ func (m *Metrics) noteCoalesce(n int) {
 	}
 	m.coalesceBatches.Inc()
 	m.coalesceFolded.Add(uint64(n))
+}
+
+// noteCoalesceFallback counts one buy that a closed coalescer handed
+// to the serial path.
+func (m *Metrics) noteCoalesceFallback() {
+	if m == nil {
+		return
+	}
+	m.coalesceFallback.Inc()
+	m.events.Append(EventCoalesceFallback, -1, 0, "closed")
 }
 
 func (m *Metrics) noteRead(n int) {

@@ -134,6 +134,17 @@ func (p *Problem) EpsilonForAlphaPrime(alphaPrime float64) (Plan, error) {
 // leaving Tau unset: the searches evaluate it ~2 000 times per solve but
 // need Tau (one math.Exp) only for the winner, which withTau fills in.
 func (p *Problem) epsilonAt(alphaPrime float64) (Plan, error) {
+	plan, err := p.baseAt(alphaPrime)
+	if err != nil {
+		return Plan{}, err
+	}
+	return p.amplified(plan)
+}
+
+// baseAt is the first half of epsilonAt: α′'s δ′ and the closed-form
+// base budget ε, with EpsilonPrime and NoiseScale unset. The grid
+// search reads ε here to skip amplifying points that cannot win.
+func (p *Problem) baseAt(alphaPrime float64) (Plan, error) {
 	alpha, delta := p.Accuracy.Alpha, p.Accuracy.Delta
 	if alphaPrime <= 0 || alphaPrime >= alpha {
 		return Plan{}, fmt.Errorf("%w: alpha' %v not in (0, %v)", ErrInfeasible, alphaPrime, alpha)
@@ -148,19 +159,24 @@ func (p *Problem) epsilonAt(alphaPrime float64) (Plan, error) {
 	}
 	sens := p.sensitivity()
 	slack := (alpha - alphaPrime) * float64(p.N)
-	eps := sens / slack * math.Log(deltaPrime/(deltaPrime-delta))
-	epsPrime, err := dp.AmplifyBySampling(eps, p.P)
+	return Plan{
+		AlphaPrime:  alphaPrime,
+		DeltaPrime:  deltaPrime,
+		Epsilon:     sens / slack * math.Log(deltaPrime/(deltaPrime-delta)),
+		Sensitivity: sens,
+	}, nil
+}
+
+// amplified is the second half of epsilonAt: it fills in ε′ (Lemma 3.4)
+// and the noise scale of a baseAt plan.
+func (p *Problem) amplified(plan Plan) (Plan, error) {
+	epsPrime, err := dp.AmplifyBySampling(plan.Epsilon, p.P)
 	if err != nil {
 		return Plan{}, err
 	}
-	return Plan{
-		AlphaPrime:   alphaPrime,
-		DeltaPrime:   deltaPrime,
-		Epsilon:      eps,
-		EpsilonPrime: epsPrime,
-		Sensitivity:  sens,
-		NoiseScale:   sens / eps,
-	}, nil
+	plan.EpsilonPrime = epsPrime
+	plan.NoiseScale = plan.Sensitivity / plan.Epsilon
+	return plan, nil
 }
 
 // withTau fills in the plan's noise-phase confidence Pr[|Lap| ≤ (α−α′)n]
@@ -182,6 +198,10 @@ func (p *Problem) Solve() (Plan, error) {
 	}
 	return p.withTau(best), nil
 }
+
+// skipMargin is the relative ε margin above the grid's current winner
+// past which solveGrid skips amplification (DESIGN.md §17).
+const skipMargin = 1 + 1e-12
 
 // solveGrid validates the problem once and runs Solve's grid search,
 // returning the winner without Tau.
@@ -208,7 +228,19 @@ func (p *Problem) solveGrid() (Plan, error) {
 	)
 	for i := 1; i < grid; i++ {
 		alphaPrime := lo + (hi-lo)*float64(i)/float64(grid)
-		plan, err := p.epsilonAt(alphaPrime)
+		plan, err := p.baseAt(alphaPrime)
+		if err == nil && found && !(plan.Epsilon <= best.Epsilon*skipMargin) {
+			// ε′ = ln(1−p+p·e^ε) is increasing in ε with elasticity
+			// ≥ 1, so a point whose ε is relatively 1e-12 above the
+			// winner's has a true ε′ at least that far above, far past
+			// the few-ulp error of Log1p/Expm1: its computed ε′ cannot
+			// win. Skipping its amplification leaves the winner's bits
+			// unchanged.
+			continue
+		}
+		if err == nil {
+			plan, err = p.amplified(plan)
+		}
 		if err != nil {
 			if errors.Is(err, ErrInfeasible) {
 				continue

@@ -1,42 +1,46 @@
 // Package stats provides the shared numerical machinery used across the
-// privrange modules: deterministic splittable random number generation,
-// running moments, quantiles, relative-error metrics, and the Chebyshev
-// bounds that underpin the paper's (α, δ) accuracy guarantees.
+// privrange modules: deterministic random number generation, running
+// moments, quantiles, relative-error metrics, and the Chebyshev bounds
+// that underpin the paper's (α, δ) accuracy guarantees.
+//
+// RNGs come in two families behind one type. NewRNG, Child and Split
+// are seeded math/rand generators; they drive data generation, node
+// sampling, workloads and the experiments. NewStream and Reseed key a
+// ChaCha8 CSPRNG (math/rand/v2) from (seed, stream); they drive every
+// released noise draw, so the noise is cryptographically strong and
+// one stream costs a single ChaCha8 block to key.
 //
 // Everything in this package is deterministic given a seed so that every
 // experiment in EXPERIMENTS.md reproduces bit-for-bit.
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 )
 
-// RNG is a deterministic, splittable random source. Experiments hand each
-// node / trial its own split so that changing the number of trials does not
+// RNG is a deterministic random source. Experiments hand each node /
+// trial its own child so that changing the number of trials does not
 // perturb the stream any single trial sees.
 type RNG struct {
 	rand *rand.Rand
+	// stream is the keyed ChaCha8 source behind rand when the RNG came
+	// from NewStream or Reseed; nil for the math/rand-seeded family.
+	stream *chachaSource
 }
 
-// NewRNG returns a deterministic RNG seeded with seed.
+// NewRNG returns a deterministic math/rand RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{rand: rand.New(rand.NewSource(seed))}
 }
 
-// Split derives an independent child RNG identified by id. Two children
-// with distinct ids produce uncorrelated streams; the parent stream is not
-// advanced.
+// Split returns the child RNG for id alone: it is seeded with
+// SplitMix64(id), so it neither reads nor advances the parent and
+// every parent returns the same child for the same id. Use Child when
+// the child must also depend on the parent's seed.
 func (r *RNG) Split(id int64) *RNG {
-	// SplitMix64-style mixing of (seed, id) into a fresh seed. The parent's
-	// underlying seed is not recoverable from *rand.Rand, so we mix the id
-	// with one draw from a dedicated lane: instead, derive from id and one
-	// parent draw would advance the parent. We therefore keep a stable
-	// derivation: hash the id through splitmix and xor with a per-parent
-	// constant drawn once at construction time via the first Uint64 of a
-	// cloned source. To stay allocation-free and order-independent we mix
-	// the id only; parents constructed with different seeds differ because
-	// their children are created through Child below.
 	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(uint64(id)))))}
 }
 
@@ -48,25 +52,58 @@ func (r *RNG) Child(id int64) *RNG {
 	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(base ^ splitmix(uint64(id))))))}
 }
 
-// NewStream derives a deterministic RNG for one stream of a family
-// identified by (seed, stream). Distinct pairs yield uncorrelated
-// streams. Unlike Child it consumes no parent state, so callers can
-// construct streams concurrently and in any order — the broker's batch
-// path hands query i the stream (batchSeed, i) and gets bit-identical
-// noise regardless of scheduling.
+// NewStream returns the ChaCha8 stream keyed by (seed, stream). The
+// 32-byte key is SplitMix64(seed) ‖ SplitMix64(stream) ‖ a 16-byte
+// domain tag, all little-endian; SplitMix64 is a bijection, so
+// distinct pairs get distinct keys and uncorrelated streams. It
+// consumes no parent state, so callers can construct streams
+// concurrently and in any order — the batch path hands query i the
+// stream (batchKey, i) and gets bit-identical noise regardless of
+// scheduling.
 func NewStream(seed, stream int64) *RNG {
-	return &RNG{rand: rand.New(rand.NewSource(int64(splitmix(splitmix(uint64(seed)) ^ splitmix(uint64(stream))))))}
+	src := &chachaSource{}
+	src.c.Seed(streamKey(seed, stream))
+	return &RNG{rand: rand.New(src), stream: src}
 }
 
-// Reseed re-keys this RNG in place to the deterministic stream
-// (seed, stream) — the allocation-free form of NewStream for hot paths
-// that walk many streams with one scratch RNG. After Reseed(s, i) the
-// RNG emits exactly the sequence NewStream(s, i) would, so batch code
-// can reuse one generator per batch instead of allocating one per
-// query while keeping the released values bit-identical.
+// Reseed re-keys this RNG in place to the stream (seed, stream): after
+// Reseed(s, i) it emits exactly the sequence NewStream(s, i) would.
+// On an RNG that is already a stream it allocates nothing and costs one
+// ChaCha8 block, so batch code walks many streams with one scratch RNG
+// while keeping the released values bit-identical to per-query
+// streams. An RNG from NewRNG, Child or Split becomes a stream on its
+// first Reseed.
 func (r *RNG) Reseed(seed, stream int64) {
-	r.rand.Seed(int64(splitmix(splitmix(uint64(seed)) ^ splitmix(uint64(stream)))))
+	if r.stream == nil {
+		*r = *NewStream(seed, stream)
+		return
+	}
+	r.stream.c.Seed(streamKey(seed, stream))
 }
+
+// streamTag separates stream keys from any other use of ChaCha8 keys
+// built from the same words.
+const streamTag = "privrange/stream"
+
+// streamKey is the ChaCha8 key of stream (seed, stream).
+func streamKey(seed, stream int64) [32]byte {
+	var key [32]byte
+	binary.LittleEndian.PutUint64(key[0:], splitmix(uint64(seed)))
+	binary.LittleEndian.PutUint64(key[8:], splitmix(uint64(stream)))
+	copy(key[16:], streamTag)
+	return key
+}
+
+// chachaSource adapts ChaCha8 to math/rand's Source64, so both RNG
+// families share the one set of derived draws (Float64, Intn, ...).
+type chachaSource struct{ c randv2.ChaCha8 }
+
+func (s *chachaSource) Uint64() uint64 { return s.c.Uint64() }
+func (s *chachaSource) Int63() int64   { return int64(s.c.Uint64() >> 1) }
+
+// Seed re-keys the source to stream (seed, 0); it exists to satisfy
+// rand.Source and RNG never calls it.
+func (s *chachaSource) Seed(seed int64) { s.c.Seed(streamKey(seed, 0)) }
 
 // splitmix is the SplitMix64 finalizer, a strong 64-bit mixing function.
 func splitmix(x uint64) uint64 {
