@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-shard bench-trace load slo experiments examples fuzz chaos shard durability clean
+.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-planner bench-shard bench-trace load slo experiments examples fuzz chaos shard durability clean
 
 all: build vet test
 
@@ -127,6 +127,15 @@ bench-trace:
 slo:
 	$(GO) run ./cmd/privload -rate 1000 -duration 2s -conns 4 \
 		-slo 0.99:5s -max-burn 1.0
+
+# bench-planner records the planner-miss cost next to the batch release
+# it sits in front of: BenchmarkSolveRefinedMiss (one SolveRefined at a
+# fresh batch-shaped (α, δ), no memo) and the core AnswerBatch
+# benchmarks, memo-hit and fresh-plan, six runs each so the spread shows.
+# The pruned grid search is DESIGN.md §18.
+bench-planner:
+	@mkdir -p results
+	$(GO) test -run=NONE -bench='^(BenchmarkSolveRefinedMiss|BenchmarkAnswerBatch.*)$$' -benchmem -count=6 ./internal/optimize ./internal/core | tee results/bench-planner.txt
 
 # bench-shard records 1-vs-S shard throughput (scatter-gather batch
 # release and collection rounds) in results/bench-shard.txt plus a

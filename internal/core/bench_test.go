@@ -36,6 +36,34 @@ func BenchmarkAnswerBatchParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerBatchFreshPlan is BenchmarkAnswerBatchParallel with a
+// new α on every batch, so every batch misses the plan memo and pays a
+// full planner solve, as a workload whose accuracies never repeat does.
+func BenchmarkAnswerBatchFreshPlan(b *testing.B) {
+	nw, _ := buildNetwork(b, 64, 262144, 3)
+	eng, err := New(nw, WithSeed(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]estimator.Query, 64)
+	for i := range queries {
+		queries[i] = estimator.Query{L: float64(2 * i), U: float64(2*i + 120)}
+	}
+	// Warm up at the strictest α the loop uses, so the loop never
+	// re-collects.
+	if _, err := eng.AnswerBatch(queries[:1], estimator.Accuracy{Alpha: 0.1, Delta: 0.5}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		acc := estimator.Accuracy{Alpha: 0.1 + 1e-6*float64(i%65536), Delta: 0.5}
+		if _, err := eng.AnswerBatch(queries, acc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnswerBatchSequentialQueries answers the same 64 queries as
 // individual Answer calls — the pre-batching, fully serialized baseline.
 func BenchmarkAnswerBatchSequentialQueries(b *testing.B) {

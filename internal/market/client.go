@@ -35,6 +35,7 @@ type Client struct {
 	pending    map[uint64]chan clientResult
 	order      []uint64
 	sticky     error
+	fallbacks  ClientFallbacks
 	readerOnce sync.Once
 	readerWG   sync.WaitGroup
 
@@ -43,6 +44,24 @@ type Client struct {
 	// send→receive root span. Both nil by default (no tracing).
 	sampler *telemetry.Sampler
 	spans   *telemetry.SpanBuf
+}
+
+// ClientFallbacks counts the pipelined client's silent fallbacks: the
+// responses dispatch could not match by id.
+type ClientFallbacks struct {
+	// FIFO counts id-less responses (an old server) matched to the
+	// oldest outstanding request.
+	FIFO uint64
+	// Dropped counts responses no waiter received: an unknown or
+	// duplicate id, or an id-less response with no request outstanding.
+	Dropped uint64
+}
+
+// Fallbacks returns the client's fallback counts so far.
+func (c *Client) Fallbacks() ClientFallbacks {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fallbacks
 }
 
 // clientResult is what a pipelined waiter receives: the matched
@@ -251,7 +270,7 @@ func (c *Client) startReader() {
 // echoes one, else first-in-first-out (an old server answering in
 // arrival order). Unknown and duplicate ids are dropped — the waiter
 // they fail to reach times out rather than the whole client dying on a
-// buggy peer.
+// buggy peer. Both fallbacks count in Fallbacks.
 func (c *Client) dispatch(resp *Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,16 +281,19 @@ func (c *Client) dispatch(resp *Response) {
 			c.order = c.order[1:]
 			if ch, ok := c.pending[head]; ok {
 				delete(c.pending, head)
+				c.fallbacks.FIFO++
 				ch <- clientResult{resp: resp}
 				return
 			}
 			// Stale entry (timed out, or already matched by id): keep
 			// popping until a live waiter or an empty queue.
 		}
+		c.fallbacks.Dropped++
 		return
 	}
 	ch, ok := c.pending[id]
 	if !ok {
+		c.fallbacks.Dropped++
 		return
 	}
 	delete(c.pending, id)

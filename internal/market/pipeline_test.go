@@ -169,6 +169,11 @@ func TestPipelinedDropsUnknownAndDuplicateIDs(t *testing.T) {
 	if resp.Balance != 8 {
 		t.Fatalf("second Do routed wrong response: balance %v", resp.Balance)
 	}
+	// The reader dispatches in arrival order, so both garbage responses
+	// were dropped before the second answer arrived.
+	if got, want := client.Fallbacks(), (ClientFallbacks{Dropped: 2}); got != want {
+		t.Errorf("Fallbacks() = %+v, want %+v", got, want)
+	}
 }
 
 // TestPipelinedConnectionDeathFailsInFlight: when the peer hangs up
@@ -270,6 +275,9 @@ func TestPipelinedClientAgainstLegacyServer(t *testing.T) {
 		}(float64(i + 1))
 	}
 	wg.Wait()
+	if got, want := client.Fallbacks(), (ClientFallbacks{FIFO: calls}); got != want {
+		t.Errorf("Fallbacks() = %+v, want %+v", got, want)
+	}
 }
 
 // TestMixedPipelinedAndLegacyClients drives both client modes against

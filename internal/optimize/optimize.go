@@ -157,14 +157,25 @@ func (p *Problem) baseAt(alphaPrime float64) (Plan, error) {
 		return Plan{}, fmt.Errorf("%w: delta' %v does not exceed required delta %v at alpha'=%v",
 			ErrInfeasible, deltaPrime, delta, alphaPrime)
 	}
-	sens := p.sensitivity()
-	slack := (alpha - alphaPrime) * float64(p.N)
 	return Plan{
 		AlphaPrime:  alphaPrime,
 		DeltaPrime:  deltaPrime,
-		Epsilon:     sens / slack * math.Log(deltaPrime/(deltaPrime-delta)),
-		Sensitivity: sens,
+		Epsilon:     p.slackFactor(alphaPrime) * confidenceLog(deltaPrime, delta),
+		Sensitivity: p.sensitivity(),
 	}, nil
+}
+
+// slackFactor is ε's first factor, Δγ̂/((α−α′)n). It rises with α′, and
+// every operation in it rounds monotonically, so the computed value is
+// non-decreasing along the grid too.
+func (p *Problem) slackFactor(alphaPrime float64) float64 {
+	return p.sensitivity() / ((p.Accuracy.Alpha - alphaPrime) * float64(p.N))
+}
+
+// confidenceLog is ε's second factor, ln(δ′/(δ′−δ)). It falls as δ′ — and
+// so α′ — rises.
+func confidenceLog(deltaPrime, delta float64) float64 {
+	return math.Log(deltaPrime / (deltaPrime - delta))
 }
 
 // amplified is the second half of epsilonAt: it fills in ε′ (Lemma 3.4)
@@ -192,22 +203,24 @@ func (p *Problem) withTau(plan Plan) Plan {
 // smallest effective budget ε′. It returns ErrInfeasible (wrapped with the
 // minimum workable sampling rate) when even α′ → α cannot reach δ.
 func (p *Problem) Solve() (Plan, error) {
-	best, err := p.solveGrid()
+	best, _, err := p.solveGrid()
 	if err != nil {
 		return Plan{}, err
 	}
 	return p.withTau(best), nil
 }
 
-// skipMargin is the relative ε margin above the grid's current winner
-// past which solveGrid skips amplification (DESIGN.md §17).
+// skipMargin is the relative ε margin above a known grid point's ε past
+// which solveGrid skips amplifying a point (DESIGN.md §17) or a whole
+// block of points (§18).
 const skipMargin = 1 + 1e-12
 
 // solveGrid validates the problem once and runs Solve's grid search,
-// returning the winner without Tau.
-func (p *Problem) solveGrid() (Plan, error) {
+// returning the winner without Tau and the number of grid points whose
+// ε it evaluated, so tests can see the pruning fire.
+func (p *Problem) solveGrid() (Plan, int, error) {
 	if err := p.validate(); err != nil {
-		return Plan{}, err
+		return Plan{}, 0, err
 	}
 	lo := p.minAlphaPrime()
 	hi := p.Accuracy.Alpha
@@ -217,45 +230,13 @@ func (p *Problem) solveGrid() (Plan, error) {
 		// search space.
 		need, rerr := estimator.RequiredProbability(p.Accuracy, p.K, p.N)
 		if rerr != nil {
-			return Plan{}, rerr
+			return Plan{}, 0, rerr
 		}
-		return Plan{}, fmt.Errorf("%w: sampling rate %.5f too low, need at least ~%.5f", ErrInfeasible, p.P, need)
+		return Plan{}, 0, fmt.Errorf("%w: sampling rate %.5f too low, need at least ~%.5f", ErrInfeasible, p.P, need)
 	}
-	grid := p.grid()
-	var (
-		best  Plan
-		found bool
-	)
-	for i := 1; i < grid; i++ {
-		alphaPrime := lo + (hi-lo)*float64(i)/float64(grid)
-		plan, err := p.baseAt(alphaPrime)
-		if err == nil && found && !(plan.Epsilon <= best.Epsilon*skipMargin) {
-			// ε′ = ln(1−p+p·e^ε) is increasing in ε with elasticity
-			// ≥ 1, so a point whose ε is relatively 1e-12 above the
-			// winner's has a true ε′ at least that far above, far past
-			// the few-ulp error of Log1p/Expm1: its computed ε′ cannot
-			// win. Skipping its amplification leaves the winner's bits
-			// unchanged.
-			continue
-		}
-		if err == nil {
-			plan, err = p.amplified(plan)
-		}
-		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
-				continue
-			}
-			return Plan{}, err
-		}
-		if !found || plan.EpsilonPrime < best.EpsilonPrime {
-			best = plan
-			found = true
-		}
-	}
-	if !found {
-		return Plan{}, fmt.Errorf("%w: empty feasible grid in (%v, %v)", ErrInfeasible, lo, hi)
-	}
-	return best, nil
+	s := gridSearch{p: p, lo: lo, hi: hi, grid: p.grid()}
+	best, err := s.search()
+	return best, s.evals, err
 }
 
 // Verify checks that the plan satisfies every constraint of problem (3)

@@ -14,7 +14,7 @@ import (
 // resolution. The returned plan is always feasible and never worse than
 // the plain grid solution.
 func (p *Problem) SolveRefined() (Plan, error) {
-	best, err := p.solveGrid()
+	best, _, err := p.solveGrid()
 	if err != nil {
 		return Plan{}, err
 	}
