@@ -6,7 +6,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 STATICCHECK ?= staticcheck
 
-.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-planner bench-shard bench-trace load slo experiments examples fuzz chaos shard durability clean
+.PHONY: all check build vet lint privlint lint-report staticcheck tools test race cover bench bench-smoke bench-planner bench-kernel bench-shard bench-trace load slo experiments examples fuzz chaos shard durability clean
 
 all: build vet test
 
@@ -137,6 +137,14 @@ bench-planner:
 	@mkdir -p results
 	$(GO) test -run=NONE -bench='^(BenchmarkSolveRefinedMiss|BenchmarkAnswerBatch.*)$$' -benchmem -count=6 ./internal/optimize ./internal/core | tee results/bench-planner.txt
 
+# bench-kernel records the keyed lockstep estimator kernel (DESIGN.md
+# §19): a 64-query batch at the batch-ingest shape (16 nodes, ~90
+# samples per node) and at 5 000 samples per node, cycling 512 distinct
+# quantile-anchored batches, plus the one-query tile, six runs each.
+bench-kernel:
+	@mkdir -p results
+	$(GO) test -run=NONE -bench='^BenchmarkEstimateIndex(Batch|Single)$$' -benchmem -count=6 ./internal/estimator | tee results/bench-kernel.txt
+
 # bench-shard records 1-vs-S shard throughput (scatter-gather batch
 # release and collection rounds) in results/bench-shard.txt plus a
 # machine-readable results/bench-shard.json via cmd/benchjson. Answers
@@ -162,6 +170,7 @@ examples:
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=30s ./internal/dataset/
+	$(GO) test -run=NONE -fuzz=FuzzKeyedKernel -fuzztime=30s ./internal/estimator/
 
 # Fault-injection matrix (per-node loss × corruption × crash/recover
 # churn) plus the end-to-end degraded-deployment scenario, all under the

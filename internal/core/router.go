@@ -78,10 +78,12 @@ func rankEstimateSharded(snap snapshot, queries []estimator.Query, out []float64
 // scatterBlock evaluates one query block: every shard view scatters its
 // per-node terms into the rows×m table concurrently (views own disjoint
 // rows, so no locks), then a single pass reduces each query's column in
-// row order. spans, when non-nil, records one span per shard (the clock
-// reads live inside the telemetry package; a nil group costs two nil
-// checks per shard and never perturbs determinism — span emission
-// observes the scatter, it does not order it).
+// row order. Errors are kept per shard and the first by shard order is
+// returned, whichever shard finished first. spans, when non-nil,
+// records one span per shard (the clock reads live inside the telemetry
+// package; a nil group costs two nil checks per shard and never
+// perturbs determinism — span emission observes the scatter, it does
+// not order it).
 func scatterBlock(views []shard.View, rc estimator.RankCounting, queries []estimator.Query, rows int, sp *[]float64, out []float64, spans *telemetry.SpanGroup) error {
 	m := len(queries)
 	if cap(*sp) < rows*m {
@@ -105,28 +107,26 @@ func scatterBlock(views []shard.View, rc estimator.RankCounting, queries []estim
 		}
 		spans.EndShard(s, start)
 	}
-	if active <= 1 {
-		for s, v := range views {
-			if len(v.Sets) > 0 {
-				scatterView(s)
-			}
+	// One goroutine per shard but the last active one, which runs on the
+	// caller: shards are coarse units (each fans its own tiles out when
+	// the work merits it), S is small, and a fresh goroutine would grow
+	// its stack into the kernel frame on every batch.
+	var wg sync.WaitGroup
+	for s, v := range views {
+		if len(v.Sets) == 0 {
+			continue
 		}
-	} else {
-		// One goroutine per shard: shards are coarse units (each fans its
-		// own tiles out when the work merits it), and S is small.
-		var wg sync.WaitGroup
-		for s, v := range views {
-			if len(v.Sets) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				scatterView(s)
-			}(s)
+		if active--; active == 0 {
+			scatterView(s)
+			break
 		}
-		wg.Wait()
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			scatterView(s)
+		}(s)
 	}
+	wg.Wait()
 	// First error by shard order, so error selection is deterministic.
 	for _, err := range errs {
 		if err != nil {

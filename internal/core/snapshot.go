@@ -70,7 +70,7 @@ func (e *Engine) readSnapshot() snapshot {
 
 // rankEstimate computes the un-noised RankCounting estimate for one
 // query against a snapshot, preferring the flat columnar index (zero
-// allocations, branch-light binary searches) and falling back to the
+// allocations, branch-free binary searches) and falling back to the
 // SampleSet oracle path when no index was captured. The two paths
 // return bit-identical values, so callers cannot observe which one ran.
 func rankEstimate(snap snapshot, q estimator.Query) (float64, error) {

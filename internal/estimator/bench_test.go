@@ -142,28 +142,6 @@ func BenchmarkEstimateFlatIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateIndexBatch measures the tiled batch kernel answering
-// 64 queries per call over the same 256-node index — the amortized
-// per-query cost the broker's AnswerBatch pays.
-func BenchmarkEstimateIndexBatch(b *testing.B) {
-	sets := benchSets(b, 256, 1_048_576, 0.3)
-	ix := benchIndex(b, sets)
-	rc := RankCounting{P: 0.3}
-	queries := make([]Query, 64)
-	for i := range queries {
-		queries[i] = Query{L: float64(2 * i), U: float64(2*i + 120)}
-	}
-	out := make([]float64, len(queries))
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := rc.EstimateIndexBatch(ix, queries, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	benchSink = out[0]
-}
-
 // BenchmarkIndexBuild prices the per-collection-round rebuild the
 // network pays so that every query reads the index for free.
 func BenchmarkIndexBuild(b *testing.B) {

@@ -2,79 +2,139 @@ package estimator
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"privrange/internal/index"
+	"privrange/internal/sampling"
 )
 
 // This file holds the flat-index hot path: the same estimator math as
-// estimator.go, but evaluated over the columnar sample index
-// (internal/index) with hand-rolled binary searches and no per-query
-// allocation. The SampleSet path stays as the node-side representation
-// and the correctness oracle; the property tests in flat_test.go assert
-// both paths agree bit-for-bit, which is possible because the flat
-// kernels perform the exact same float operations in the exact same
-// order (per-node terms summed in node-index order starting from 0).
+// estimator.go, evaluated over the columnar sample index
+// (internal/index) by one tile kernel with no per-query allocation. The
+// SampleSet path stays as the node-side representation and the
+// correctness oracle; the property tests in flat_test.go and the fuzz
+// target in kernel_fuzz_test.go assert both paths agree bit-for-bit,
+// which is possible because the kernel forms every per-node term from
+// the same integers with the same float operations in the same order
+// (per-node terms summed in node-index order starting from 0).
+//
+// The kernel (DESIGN.md §19) answers a tile of up to queryTile queries
+// per node. Both of a query's searches ask how many of the node's order
+// keys lie below a target: OrderKey(L) for the first sample ≥ L (the
+// strict predecessor of l sits just before it) and OrderKey(U)+1 for
+// the first sample > U (the strict successor of u). Every search over
+// one node has the same length, so the tile's 2·queryTile searches take
+// the same halving steps in lockstep, and each step adds half the
+// window from a subtraction borrow instead of a branch: the tile runs
+// as independent dependency chains rather than mispredicted branches.
 
-// searchGE returns the smallest i with values[i] >= x (len(values) when
-// none). Equivalent to sort.SearchFloat64s but inlineable and free of
-// the closure call sort.Search pays per probe.
-func searchGE(values []float64, x float64) int {
-	lo, hi := 0, len(values)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if values[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
+// keyTile is one query tile's search targets as order keys: for tile
+// query j, target[2j] = OrderKey(L) and target[2j+1] = OrderKey(U)+1.
+// The endpoints are converted once per tile, not once per node; a
+// loaded tile is read-only, so concurrent workers may share it.
+type keyTile struct {
+	m      int // queries in the tile, at most queryTile
+	target [2 * queryTile]uint64
+}
+
+// load converts queries (len ≤ queryTile) into the tile's targets.
+func (t *keyTile) load(queries []Query) {
+	t.m = len(queries)
+	for j, q := range queries {
+		t.target[2*j] = index.OrderKey(q.L)
+		// OrderKey(+Inf)+1 cannot wrap (see index.OrderKey).
+		t.target[2*j+1] = index.OrderKey(q.U) + 1
+	}
+}
+
+// below sets pos[i] to the number of keys below target[i] for each of
+// the tile's 2m targets. keys is sorted, so this is a lower bound; the
+// probe sequence depends only on len(keys), so all targets descend in
+// lockstep, and bits.Sub64's borrow (1 exactly when the probed key is
+// below the target) masks each step's advance without a branch.
+func (t *keyTile) below(keys []uint64, pos *[2 * queryTile]int) {
+	if t.m == 1 {
+		pos[0], pos[1] = belowPair(keys, t.target[0], t.target[1])
+		return
+	}
+	at := pos[:2*t.m]
+	target := t.target[:len(at)]
+	for i := range at {
+		at[i] = 0
+	}
+	if len(keys) == 0 {
+		return
+	}
+	for w := len(keys); w > 1; {
+		half := w >> 1
+		for i, x := range target {
+			_, lt := bits.Sub64(keys[at[i]+half], x, 0)
+			at[i] += half & -int(lt)
+		}
+		w -= half
+	}
+	for i, x := range target {
+		_, lt := bits.Sub64(keys[at[i]], x, 0)
+		at[i] += int(lt)
+	}
+}
+
+// belowPair is below for a one-query tile: the same steps, with both
+// positions held in registers. With only two chains per node, the
+// lockstep loop's store-to-load round trip through pos would sit on
+// every step's critical path.
+func belowPair(keys []uint64, x, y uint64) (int, int) {
+	if len(keys) == 0 {
+		return 0, 0
+	}
+	a, b := 0, 0
+	for w := len(keys); w > 1; {
+		half := w >> 1
+		_, ltA := bits.Sub64(keys[a+half], x, 0)
+		_, ltB := bits.Sub64(keys[b+half], y, 0)
+		a += half & -int(ltA)
+		b += half & -int(ltB)
+		w -= half
+	}
+	_, ltA := bits.Sub64(keys[a], x, 0)
+	_, ltB := bits.Sub64(keys[b], y, 0)
+	return a + int(ltA), b + int(ltB)
+}
+
+// terms writes the tile's per-node estimator terms for one node into
+// row[:t.m]. kernelRank is RankCounting.estimateNode's four-case rule
+// of §III-A; kernelBasic is BasicCounting.estimateNode's
+// |{samples in [l,u]}| / p. The arithmetic mirrors the SampleSet
+// estimators exactly, so the terms are bit-identical to theirs.
+func (t *keyTile) terms(kern flatKernel, keys []uint64, ranks []int32, n int, p float64, row []float64) {
+	var pos [2 * queryTile]int
+	t.below(keys, &pos)
+	row = row[:t.m]
+	if kern == kernelBasic {
+		for j := range row {
+			row[j] = float64(pos[2*j+1]-pos[2*j]) / p
+		}
+		return
+	}
+	for j := range row {
+		pi := pos[2*j]   // pred = pi-1 when pi > 0
+		si := pos[2*j+1] // succ = si when si < len
+		hasPred := pi > 0
+		hasSucc := si < len(ranks)
+		switch {
+		case hasPred && hasSucc:
+			row[j] = float64(int(ranks[si])-int(ranks[pi-1])+1) - 2/p
+		case hasPred:
+			row[j] = float64(n-int(ranks[pi-1])+1) - 1/p
+		case hasSucc:
+			row[j] = float64(int(ranks[si])) - 1/p
+		default:
+			row[j] = float64(n)
 		}
 	}
-	return lo
-}
-
-// searchGT returns the smallest i with values[i] > x (len(values) when
-// none).
-func searchGT(values []float64, x float64) int {
-	lo, hi := 0, len(values)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if values[mid] <= x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// rankNodeFlat is RankCounting.estimateNode over one node's columns:
-// the four-case rule of §III-A evaluated from the flat arrays. The
-// arithmetic mirrors estimateNode exactly so results are bit-identical.
-func rankNodeFlat(values []float64, ranks []int32, n int, q Query, p float64) float64 {
-	pi := searchGE(values, q.L) // pred = pi-1 when pi > 0
-	si := searchGT(values, q.U) // succ = si when si < len
-	hasPred := pi > 0
-	hasSucc := si < len(values)
-	switch {
-	case hasPred && hasSucc:
-		return float64(int(ranks[si])-int(ranks[pi-1])+1) - 2/p
-	case hasPred:
-		return float64(n-int(ranks[pi-1])+1) - 1/p
-	case hasSucc:
-		return float64(int(ranks[si])) - 1/p
-	default:
-		return float64(n)
-	}
-}
-
-// basicNodeFlat is BasicCounting.estimateNode over one node's columns:
-// |{samples in [l,u]}| / p.
-func basicNodeFlat(values []float64, q Query, p float64) float64 {
-	lo := searchGE(values, q.L)
-	hi := searchGT(values, q.U)
-	return float64(hi-lo) / p
 }
 
 // validateIndex checks the shared preconditions of the flat estimators.
@@ -92,51 +152,44 @@ func validateIndex(ix *index.Index, p float64, q Query) error {
 }
 
 // EstimateIndex computes the global RankCounting estimate over the
-// columnar index — the broker's hot path. It allocates nothing on the
-// sequential path and reuses pooled scratch on the parallel one; the
-// result is bit-identical to Estimate over the equivalent sample sets.
+// columnar index — the broker's hot path. It is a one-query tile of the
+// batch kernel; it allocates nothing on the sequential path and reuses
+// pooled scratch on the parallel one. The result is bit-identical to
+// Estimate over the equivalent sample sets.
 func (r RankCounting) EstimateIndex(ix *index.Index, q Query) (float64, error) {
-	if err := validateIndex(ix, r.P, q); err != nil {
-		return 0, err
-	}
-	k := ix.Nodes()
-	if !engageParallel(k, flatEstimateWork(ix)) {
-		total := 0.0
-		for i := 0; i < k; i++ {
-			values, ranks, n := ix.Node(i)
-			total += rankNodeFlat(values, ranks, n, q, r.P)
-		}
-		return total, nil
-	}
-	return sumIndexParallel(ix, func(values []float64, ranks []int32, n int) float64 {
-		return rankNodeFlat(values, ranks, n, q, r.P)
-	})
+	return estimateIndex(ix, q, kernelRank, r.P)
 }
 
 // EstimateIndex computes the global BasicCounting estimate over the
 // columnar index. Bit-identical to Estimate over the equivalent sets.
 func (b BasicCounting) EstimateIndex(ix *index.Index, q Query) (float64, error) {
-	if err := validateIndex(ix, b.P, q); err != nil {
-		return 0, err
-	}
-	k := ix.Nodes()
-	if !engageParallel(k, flatEstimateWork(ix)) {
-		total := 0.0
-		for i := 0; i < k; i++ {
-			values, _, _ := ix.Node(i)
-			total += basicNodeFlat(values, q, b.P)
-		}
-		return total, nil
-	}
-	return sumIndexParallel(ix, func(values []float64, _ []int32, _ int) float64 {
-		return basicNodeFlat(values, q, b.P)
-	})
+	return estimateIndex(ix, q, kernelBasic, b.P)
 }
 
-// sumIndexParallel fans per-node flat kernels over the worker pool with
-// pooled scratch, reducing in node-index order so the sum is
-// bit-identical to the sequential loop.
-func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32, n int) float64) (float64, error) {
+func estimateIndex(ix *index.Index, q Query, kern flatKernel, p float64) (float64, error) {
+	if err := validateIndex(ix, p, q); err != nil {
+		return 0, err
+	}
+	var t keyTile
+	t.load([]Query{q})
+	k := ix.Nodes()
+	if engageParallel(k, flatEstimateWork(ix)) {
+		return sumIndexParallel(ix, &t, kern, p), nil
+	}
+	total := 0.0
+	var term [1]float64
+	for i := 0; i < k; i++ {
+		keys, ranks, n := ix.Node(i)
+		t.terms(kern, keys, ranks, n, p, term[:])
+		total += term[0]
+	}
+	return total, nil
+}
+
+// sumIndexParallel evaluates a one-query tile against every node over
+// the worker pool with pooled scratch, reducing in node-index order so
+// the sum is bit-identical to the sequential loop.
+func sumIndexParallel(ix *index.Index, t *keyTile, kern flatKernel, p float64) float64 {
 	k := ix.Nodes()
 	sp := getScratch(k)
 	per := *sp
@@ -145,6 +198,9 @@ func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32
 		workers = k
 	}
 	chunk := (k + workers - 1) / workers
+	// The workers share a copy, so the sequential path keeps its tile
+	// on the caller's stack.
+	shared := *t
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
@@ -158,8 +214,8 @@ func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				values, ranks, n := ix.Node(i)
-				per[i] = node(values, ranks, n)
+				keys, ranks, n := ix.Node(i)
+				shared.terms(kern, keys, ranks, n, p, per[i:i+1])
 			}
 		}(lo, hi)
 	}
@@ -169,7 +225,7 @@ func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32
 		total += est
 	}
 	putScratch(sp)
-	return total, nil
+	return total
 }
 
 // --- batched, tiled evaluation ---------------------------------------------
@@ -181,8 +237,9 @@ func sumIndexParallel(ix *index.Index, node func(values []float64, ranks []int32
 const (
 	// nodeTile × queryTile binary-search evaluations form one work unit
 	// (~a few µs) — coarse enough to amortize handoff, fine enough to
-	// balance across workers. nodeTile keeps a node-chunk's value
-	// columns hot in cache while the query chunk sweeps over them.
+	// balance across workers. nodeTile keeps a node-chunk's key
+	// columns hot in cache while the query chunk sweeps over them;
+	// queryTile is also the width of one lockstep search tile.
 	nodeTile  = 64
 	queryTile = 16
 	// maxScratchFloats caps the k×m scratch block at 16 MiB; larger
@@ -280,37 +337,8 @@ func batchBlock(ix *index.Index, queries []Query, out []float64, kern flatKernel
 	m := len(queries)
 	sp := getScratch(k * m)
 	scratch := *sp
-	tilesN := (k + nodeTile - 1) / nodeTile
-	tilesQ := (m + queryTile - 1) / queryTile
-	units := tilesN * tilesQ
-	workers := runtime.GOMAXPROCS(0)
-	if workers > units {
-		workers = units
-	}
-	// The pool only pays off when the block holds enough search work;
-	// below the threshold (or on one P) the tiles run inline.
-	if workers < 2 || !engageParallel(k, m*flatEstimateWork(ix)) {
-		for u := 0; u < units; u++ {
-			fillTile(ix, queries, scratch, u, tilesN, kern, p)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					u := int(next.Add(1)) - 1
-					if u >= units {
-						return
-					}
-					fillTile(ix, queries, scratch, u, tilesN, kern, p)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	pass := tilePass{ix: ix, queries: queries, dst: scratch, kern: kern, p: p}
+	pass.run(m * flatEstimateWork(ix))
 	for qi := range queries {
 		total := 0.0
 		for node := 0; node < k; node++ {
@@ -321,36 +349,93 @@ func batchBlock(ix *index.Index, queries []Query, out []float64, kern flatKernel
 	putScratch(sp)
 }
 
-// fillTile evaluates one (node-chunk × query-chunk) tile into scratch.
-// Tiles touch disjoint cells, so concurrent fills need no locks.
-func fillTile(ix *index.Index, queries []Query, scratch []float64, unit, tilesN int, kern flatKernel, p float64) {
-	m := len(queries)
-	nt := unit % tilesN
-	qt := unit / tilesN
-	n0, n1 := nt*nodeTile, (nt+1)*nodeTile
-	if n1 > ix.Nodes() {
-		n1 = ix.Nodes()
+// tilePass is one evaluation of the (node × query) grid: every tile
+// writes the per-node terms of its nodes into dst at row(node)*m+query,
+// m = len(queries), where row(node) is rows[node], or node itself when
+// rows is nil. Over an index the terms come from the key kernel; with a
+// nil index they come from the SampleSet estimator over sets (the
+// RankCounting fallback a stale shard uses). The grid depends only on
+// (k, m), never on GOMAXPROCS, and every term lands in its own cell, so
+// which worker computes which tile cannot affect the result.
+type tilePass struct {
+	ix      *index.Index
+	sets    []*sampling.SampleSet
+	queries []Query
+	rows    []int
+	dst     []float64
+	kern    flatKernel
+	p       float64
+}
+
+func (tp *tilePass) nodes() int {
+	if tp.ix != nil {
+		return tp.ix.Nodes()
 	}
-	q0, q1 := qt*queryTile, (qt+1)*queryTile
-	if q1 > m {
-		q1 = m
+	return len(tp.sets)
+}
+
+// run fills every tile, fanning out over the worker pool when work —
+// the grid's sequential cost in search steps — merits it. Tiles write
+// disjoint cells, so concurrent fills need no locks.
+func (tp *tilePass) run(work int) {
+	k, m := tp.nodes(), len(tp.queries)
+	tilesN := (k + nodeTile - 1) / nodeTile
+	tilesQ := (m + queryTile - 1) / queryTile
+	units := tilesN * tilesQ
+	workers := min(runtime.GOMAXPROCS(0), units)
+	// The pool only pays off when the grid holds enough search work;
+	// below the threshold (or on one P) the tiles run inline.
+	if workers < 2 || !engageParallel(k, work) {
+		for u := 0; u < units; u++ {
+			tp.fill(u, tilesN)
+		}
+		return
 	}
-	switch kern {
-	case kernelRank:
-		for node := n0; node < n1; node++ {
-			values, ranks, n := ix.Node(node)
-			row := scratch[node*m : node*m+m]
+	// As in sumIndexParallel, the workers share a copy so the inline
+	// path keeps its pass on the caller's stack.
+	shared := *tp
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				u := int(next.Add(1)) - 1
+				if u >= units {
+					return
+				}
+				shared.fill(u, tilesN)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fill evaluates one (node-chunk × query-chunk) tile.
+func (tp *tilePass) fill(unit, tilesN int) {
+	k, m := tp.nodes(), len(tp.queries)
+	nt, qt := unit%tilesN, unit/tilesN
+	n0, n1 := nt*nodeTile, min((nt+1)*nodeTile, k)
+	q0, q1 := qt*queryTile, min((qt+1)*queryTile, m)
+	if tp.ix == nil {
+		rc := RankCounting{P: tp.p}
+		for j := n0; j < n1; j++ {
+			row := tp.dst[tp.rows[j]*m : tp.rows[j]*m+m]
 			for qi := q0; qi < q1; qi++ {
-				row[qi] = rankNodeFlat(values, ranks, n, queries[qi], p)
+				row[qi], _ = rc.estimateNode(tp.sets[j], tp.queries[qi])
 			}
 		}
-	case kernelBasic:
-		for node := n0; node < n1; node++ {
-			values, _, _ := ix.Node(node)
-			row := scratch[node*m : node*m+m]
-			for qi := q0; qi < q1; qi++ {
-				row[qi] = basicNodeFlat(values, queries[qi], p)
-			}
+		return
+	}
+	var t keyTile
+	t.load(tp.queries[q0:q1])
+	for j := n0; j < n1; j++ {
+		row := j
+		if tp.rows != nil {
+			row = tp.rows[j]
 		}
+		keys, ranks, n := tp.ix.Node(j)
+		t.terms(tp.kern, keys, ranks, n, tp.p, tp.dst[row*m+q0:row*m+q1])
 	}
 }

@@ -57,6 +57,96 @@ func randomQueries(rng *stats.RNG, m int) []Query {
 	return qs
 }
 
+// edgeValues is the value pool of the edge-case generators: both
+// infinities, the extremes of the finite range, both zeros, subnormals,
+// and small negative and positive values — every region of the key
+// mapping (index.OrderKey), including its negative half.
+var edgeValues = []float64{
+	math.Inf(-1), -math.MaxFloat64, -1e308, -1e3, -2.5, -1, -0x1p-1022,
+	-2 * math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64, 0x1p-1022, 1, 2.5, 1e3, 1e308,
+	math.MaxFloat64, math.Inf(1),
+}
+
+// edgeValue draws from edgeValues half the time and otherwise a small
+// integer in [-20, 20), so ties, negatives and edges mix in one node.
+func edgeValue(rng *stats.RNG) float64 {
+	if rng.Intn(2) == 0 {
+		return edgeValues[rng.Intn(len(edgeValues))]
+	}
+	return float64(rng.Intn(40) - 20)
+}
+
+// edgeSets is randomSets over edgeValue readings; about one node in
+// four holds no data at all.
+func edgeSets(t testing.TB, rng *stats.RNG, k, maxN int, p float64) []*sampling.SampleSet {
+	t.Helper()
+	sets := make([]*sampling.SampleSet, k)
+	for i := range sets {
+		n := rng.Intn(maxN + 1)
+		if rng.Intn(4) == 0 {
+			n = 0
+		}
+		data := make([]float64, n)
+		for j := range data {
+			data[j] = edgeValue(rng)
+		}
+		sort.Float64s(data)
+		set, err := sampling.Draw(data, p, rng.Child(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[i] = set
+	}
+	return sets
+}
+
+// edgeQueries draws both endpoints with edgeValue (nudged by ±0.5 a
+// third of the time, so some fall between samples) and orders them;
+// the first queries pin the zero and infinity corners explicitly.
+func edgeQueries(rng *stats.RNG, m int) []Query {
+	negZero := math.Copysign(0, -1)
+	corners := []Query{
+		{L: negZero, U: 0}, {L: 0, U: negZero}, {L: negZero, U: negZero},
+		{L: math.Inf(-1), U: math.Inf(1)}, {L: math.Inf(-1), U: math.Inf(-1)},
+		{L: math.Inf(1), U: math.Inf(1)}, {L: math.Inf(-1), U: negZero},
+		{L: 0, U: math.Inf(1)},
+	}
+	qs := make([]Query, m)
+	for i := range qs {
+		if i < len(corners) && rng.Intn(2) == 0 {
+			qs[i] = corners[i]
+			continue
+		}
+		a, b := edgeValue(rng), edgeValue(rng)
+		if rng.Intn(3) == 0 {
+			a += 0.5
+			b -= 0.5
+		}
+		if a > b {
+			a, b = b, a
+		}
+		qs[i] = Query{L: a, U: b}
+	}
+	return qs
+}
+
+// kernelBatchSizes are the batch sizes the differential tests sweep:
+// one query, and sizes that are not multiples of queryTile.
+var kernelBatchSizes = []int{1, 15, 17, 64, 100}
+
+// generators pairs each set generator with its query generator: the
+// integer workload (heavy duplicates on one sign) and the edge-case
+// workload.
+var generators = []struct {
+	name    string
+	sets    func(testing.TB, *stats.RNG, int, int, float64) []*sampling.SampleSet
+	queries func(*stats.RNG, int) []Query
+}{
+	{"integers", randomSets, randomQueries},
+	{"edges", edgeSets, edgeQueries},
+}
+
 // TestFlatEstimatorsBitIdentical is the differential property test the
 // acceptance criteria require: across random datasets, rates and query
 // ranges, the flat-index estimators must return bit-identical results
@@ -66,17 +156,22 @@ func randomQueries(rng *stats.RNG, m int) []Query {
 func TestFlatEstimatorsBitIdentical(t *testing.T) {
 	t.Parallel()
 	rng := stats.NewRNG(1234)
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 120; trial++ {
+		gen := generators[trial%len(generators)]
 		k := 1 + rng.Intn(40)
 		p := 0.05 + 0.95*rng.Float64()
-		sets := randomSets(t, rng, k, 300, p)
+		sets := gen.sets(t, rng, k, 300, p)
 		ix, err := index.Build(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rc := RankCounting{P: p}
 		bc := BasicCounting{P: p}
-		queries := randomQueries(rng, 25)
+		m := 25
+		if trial%4 >= 2 {
+			m = kernelBatchSizes[(trial/4)%len(kernelBatchSizes)]
+		}
+		queries := gen.queries(rng, m)
 		rankFlat := make([]float64, len(queries))
 		basicFlat := make([]float64, len(queries))
 		if err := rc.EstimateIndexBatch(ix, queries, rankFlat); err != nil {
@@ -95,12 +190,12 @@ func TestFlatEstimatorsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Float64bits(single) != math.Float64bits(oracle) {
-				t.Fatalf("trial %d query %v: RankCounting flat %v != oracle %v",
-					trial, q, single, oracle)
+				t.Fatalf("trial %d (%s) query %v: RankCounting flat %v != oracle %v",
+					trial, gen.name, q, single, oracle)
 			}
 			if math.Float64bits(rankFlat[qi]) != math.Float64bits(oracle) {
-				t.Fatalf("trial %d query %v: RankCounting batch %v != oracle %v",
-					trial, q, rankFlat[qi], oracle)
+				t.Fatalf("trial %d (%s) query %v: RankCounting batch %v != oracle %v",
+					trial, gen.name, q, rankFlat[qi], oracle)
 			}
 			boracle, err := bc.Estimate(sets, q)
 			if err != nil {
@@ -111,12 +206,12 @@ func TestFlatEstimatorsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Float64bits(bsingle) != math.Float64bits(boracle) {
-				t.Fatalf("trial %d query %v: BasicCounting flat %v != oracle %v",
-					trial, q, bsingle, boracle)
+				t.Fatalf("trial %d (%s) query %v: BasicCounting flat %v != oracle %v",
+					trial, gen.name, q, bsingle, boracle)
 			}
 			if math.Float64bits(basicFlat[qi]) != math.Float64bits(boracle) {
-				t.Fatalf("trial %d query %v: BasicCounting batch %v != oracle %v",
-					trial, q, basicFlat[qi], boracle)
+				t.Fatalf("trial %d (%s) query %v: BasicCounting batch %v != oracle %v",
+					trial, gen.name, q, basicFlat[qi], boracle)
 			}
 		}
 	}
@@ -128,26 +223,28 @@ func TestFlatEstimatorsBitIdentical(t *testing.T) {
 func TestSumIndexParallelBitIdentical(t *testing.T) {
 	t.Parallel()
 	rng := stats.NewRNG(99)
-	sets := randomSets(t, rng, 67, 200, 0.5)
-	ix, err := index.Build(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := RankCounting{P: 0.5}
-	for _, q := range randomQueries(rng, 10) {
-		seq := 0.0
-		for i := 0; i < ix.Nodes(); i++ {
-			values, ranks, n := ix.Node(i)
-			seq += rankNodeFlat(values, ranks, n, q, rc.P)
-		}
-		par, err := sumIndexParallel(ix, func(values []float64, ranks []int32, n int) float64 {
-			return rankNodeFlat(values, ranks, n, q, rc.P)
-		})
+	for _, gen := range generators {
+		sets := gen.sets(t, rng, 67, 200, 0.5)
+		ix, err := index.Build(sets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(par) != math.Float64bits(seq) {
-			t.Fatalf("query %v: parallel %v != sequential %v", q, par, seq)
+		for _, kern := range []flatKernel{kernelRank, kernelBasic} {
+			for _, q := range gen.queries(rng, 10) {
+				var tile keyTile
+				tile.load([]Query{q})
+				seq := 0.0
+				var term [1]float64
+				for i := 0; i < ix.Nodes(); i++ {
+					keys, ranks, n := ix.Node(i)
+					tile.terms(kern, keys, ranks, n, 0.5, term[:])
+					seq += term[0]
+				}
+				par := sumIndexParallel(ix, &tile, kern, 0.5)
+				if math.Float64bits(par) != math.Float64bits(seq) {
+					t.Fatalf("%s kernel %d query %v: parallel %v != sequential %v", gen.name, kern, q, par, seq)
+				}
+			}
 		}
 	}
 }
@@ -159,32 +256,44 @@ func TestSumIndexParallelBitIdentical(t *testing.T) {
 // Run under -race this also proves the disjoint-tile writes are clean.
 func TestEstimateIndexBatchDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	rng := stats.NewRNG(4321)
-	sets := randomSets(t, rng, 150, 400, 0.6)
-	ix, err := index.Build(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := randomQueries(rng, 75)
-	rc := RankCounting{P: 0.6}
-	var baseline []float64
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
-	for _, procs := range []int{1, 2, 3, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 3; rep++ {
-			out := make([]float64, len(queries))
-			if err := rc.EstimateIndexBatch(ix, queries, out); err != nil {
+	for _, gen := range generators {
+		sets := gen.sets(t, rng, 150, 400, 0.6)
+		ix, err := index.Build(sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := gen.queries(rng, 75)
+		rc := RankCounting{P: 0.6}
+		var baseline []float64
+		for _, procs := range []int{1, 2, 3, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 3; rep++ {
+				out := make([]float64, len(queries))
+				if err := rc.EstimateIndexBatch(ix, queries, out); err != nil {
+					t.Fatal(err)
+				}
+				if baseline == nil {
+					baseline = out
+					continue
+				}
+				for i := range out {
+					if math.Float64bits(out[i]) != math.Float64bits(baseline[i]) {
+						t.Fatalf("%s procs=%d rep=%d query %d: %v != baseline %v",
+							gen.name, procs, rep, i, out[i], baseline[i])
+					}
+				}
+			}
+		}
+		// The pooled run must also match the SampleSet oracle.
+		for i, q := range queries {
+			oracle, err := rc.Estimate(sets, q)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if baseline == nil {
-				baseline = out
-				continue
-			}
-			for i := range out {
-				if math.Float64bits(out[i]) != math.Float64bits(baseline[i]) {
-					t.Fatalf("procs=%d rep=%d query %d: %v != baseline %v",
-						procs, rep, i, out[i], baseline[i])
-				}
+			if math.Float64bits(baseline[i]) != math.Float64bits(oracle) {
+				t.Fatalf("%s query %v: batch %v != oracle %v", gen.name, q, baseline[i], oracle)
 			}
 		}
 	}

@@ -2,9 +2,6 @@ package estimator
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"privrange/internal/index"
 	"privrange/internal/sampling"
@@ -67,22 +64,14 @@ func (r RankCounting) EstimateIndexScatter(ix *index.Index, queries []Query, row
 	if err := validateScatter(ix.Nodes(), queries, rows, dst, r.P); err != nil {
 		return err
 	}
-	k, m := ix.Nodes(), len(queries)
-	scatterTiles(k, m, m*flatEstimateWork(ix), func(n0, n1, q0, q1 int) {
-		for j := n0; j < n1; j++ {
-			values, ranks, n := ix.Node(j)
-			row := dst[rows[j]*m : rows[j]*m+m]
-			for qi := q0; qi < q1; qi++ {
-				row[qi] = rankNodeFlat(values, ranks, n, queries[qi], r.P)
-			}
-		}
-	})
+	pass := tilePass{ix: ix, queries: queries, rows: rows, dst: dst, kern: kernelRank, p: r.P}
+	pass.run(len(queries) * flatEstimateWork(ix))
 	return nil
 }
 
 // EstimateScatter is EstimateIndexScatter over sample sets — the
 // fallback a shard uses while its columnar index is stale or absent.
-// Terms are bit-identical to the flat form (rankNodeFlat mirrors
+// Terms are bit-identical to the flat form (the key kernel mirrors
 // estimateNode exactly), so mixed fresh/stale shards still compose into
 // the unsharded answer.
 func (r RankCounting) EstimateScatter(sets []*sampling.SampleSet, queries []Query, rows []int, dst []float64) error {
@@ -94,65 +83,7 @@ func (r RankCounting) EstimateScatter(sets []*sampling.SampleSet, queries []Quer
 	if err := validateScatter(len(sets), queries, rows, dst, r.P); err != nil {
 		return err
 	}
-	m := len(queries)
-	scatterTiles(len(sets), m, m*setsEstimateWork(sets), func(n0, n1, q0, q1 int) {
-		for j := n0; j < n1; j++ {
-			row := dst[rows[j]*m : rows[j]*m+m]
-			for qi := q0; qi < q1; qi++ {
-				est, _ := r.estimateNode(sets[j], queries[qi])
-				row[qi] = est
-			}
-		}
-	})
+	pass := tilePass{sets: sets, queries: queries, rows: rows, dst: dst, kern: kernelRank, p: r.P}
+	pass.run(len(queries) * setsEstimateWork(sets))
 	return nil
-}
-
-// scatterTiles runs fill over the (local node × query) grid in
-// nodeTile × queryTile units, fanning out over the worker pool when the
-// work merits it. Tiles write disjoint dst cells, so no locks; the grid
-// depends only on (k, m), so scheduling cannot affect which cell holds
-// which term.
-func scatterTiles(k, m, work int, fill func(n0, n1, q0, q1 int)) {
-	tilesN := (k + nodeTile - 1) / nodeTile
-	tilesQ := (m + queryTile - 1) / queryTile
-	units := tilesN * tilesQ
-	workers := runtime.GOMAXPROCS(0)
-	if workers > units {
-		workers = units
-	}
-	runUnit := func(u int) {
-		nt := u % tilesN
-		qt := u / tilesN
-		n0, n1 := nt*nodeTile, (nt+1)*nodeTile
-		if n1 > k {
-			n1 = k
-		}
-		q0, q1 := qt*queryTile, (qt+1)*queryTile
-		if q1 > m {
-			q1 = m
-		}
-		fill(n0, n1, q0, q1)
-	}
-	if workers < 2 || !engageParallel(k, work) {
-		for u := 0; u < units; u++ {
-			runUnit(u)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= units {
-					return
-				}
-				runUnit(u)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -16,12 +16,16 @@ import (
 // row order must reproduce EstimateIndexBatch exactly.
 func TestScatterTermsBitIdentical(t *testing.T) {
 	rng := stats.NewRNG(71)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 60; trial++ {
+		gen := generators[trial%len(generators)]
 		k := 1 + rng.Intn(70)
 		m := 1 + rng.Intn(25)
+		if trial%4 >= 2 {
+			m = kernelBatchSizes[(trial/4)%len(kernelBatchSizes)]
+		}
 		p := 0.05 + 0.9*rng.Float64()
-		sets := randomSets(t, rng, k, 200, p)
-		queries := randomQueries(rng, m)
+		sets := gen.sets(t, rng, k, 200, p)
+		queries := gen.queries(rng, m)
 		ix, err := index.Build(sets)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +59,7 @@ func TestScatterTermsBitIdentical(t *testing.T) {
 					total += dst[row*m+qi]
 				}
 				if math.Float64bits(total) != math.Float64bits(want[qi]) {
-					t.Fatalf("trial %d %s query %d: reduced %v != batch %v", trial, name, qi, total, want[qi])
+					t.Fatalf("trial %d (%s) %s query %d: reduced %v != batch %v", trial, gen.name, name, qi, total, want[qi])
 				}
 			}
 		}
@@ -116,31 +120,33 @@ func TestScatterGOMAXPROCSInvariant(t *testing.T) {
 	rng := stats.NewRNG(73)
 	k, m := 128, 40
 	p := 0.5
-	sets := randomSets(t, rng, k, 3000, p)
-	queries := randomQueries(rng, m)
-	ix, err := index.Build(sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := RankCounting{P: p}
-	rows := make([]int, k)
-	for j := range rows {
-		rows[j] = j
-	}
-	run := func(procs int) []float64 {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		dst := make([]float64, k*m)
-		if err := rc.EstimateIndexScatter(ix, queries, rows, dst); err != nil {
+	for _, gen := range generators {
+		sets := gen.sets(t, rng, k, 3000, p)
+		queries := gen.queries(rng, m)
+		ix, err := index.Build(sets)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return dst
-	}
-	serial := run(1)
-	parallel := run(runtime.NumCPU())
-	for i := range serial {
-		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
-			t.Fatalf("cell %d: serial %v != parallel %v", i, serial[i], parallel[i])
+		rc := RankCounting{P: p}
+		rows := make([]int, k)
+		for j := range rows {
+			rows[j] = j
+		}
+		run := func(procs int) []float64 {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			dst := make([]float64, k*m)
+			if err := rc.EstimateIndexScatter(ix, queries, rows, dst); err != nil {
+				t.Fatal(err)
+			}
+			return dst
+		}
+		serial := run(1)
+		parallel := run(max(runtime.NumCPU(), 4))
+		for i := range serial {
+			if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
+				t.Fatalf("%s cell %d: serial %v != parallel %v", gen.name, i, serial[i], parallel[i])
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package index provides the broker's columnar sample index: every
 // node's rank-annotated samples flattened into contiguous arrays so the
-// range-counting hot path runs branch-light binary searches over flat
+// range-counting hot path runs branch-free binary searches over flat
 // memory instead of chasing []*sampling.SampleSet pointers per query.
 //
 // The index is built once per collection round (the base station
@@ -12,12 +12,19 @@
 // flat kernels are required (and property-tested) to return
 // bit-identical results to the SampleSet path.
 //
-// Layout: values and ranks are parallel arrays holding node 0's samples
+// Layout: keys and ranks are parallel arrays holding node 0's samples
 // first, then node 1's, and so on; start[i] / start[i+1] delimit node
-// i's slice and n[i] records the node's dataset size n_i. Within a node
-// the samples keep their SampleSet order (sorted by value, ties in rank
-// order), so a binary search over values[start[i]:start[i+1]] answers
-// the same predecessor/successor questions SampleSet answers.
+// i's slice and n[i] records the node's dataset size n_i. A sample's
+// value is stored as its order key (OrderKey): a uint64 whose unsigned
+// order is the float order, with −0 folded onto +0, so the key column
+// costs the same 8 bytes per sample as a float column and every float
+// comparison the estimators make has an integer twin — v < x exactly
+// when OrderKey(v) < OrderKey(x). Integer compares let the estimator
+// kernel derive each search step from a subtraction borrow instead of a
+// branch (DESIGN.md §19). Within a node the samples keep their SampleSet
+// order (sorted by value, ties in rank order), so a binary search over
+// keys[start[i]:start[i+1]] answers the same predecessor/successor
+// questions SampleSet answers.
 package index
 
 import (
@@ -27,16 +34,30 @@ import (
 	"privrange/internal/sampling"
 )
 
+// OrderKey maps a non-NaN float to a uint64 whose unsigned order is the
+// float order: a < b exactly when OrderKey(a) < OrderKey(b), and a == b
+// exactly when the keys are equal. Adding +0 first folds −0 onto +0
+// (IEEE −0 + +0 = +0), matching the float comparison, which treats the
+// two zeros as equal. A non-negative float keeps its bits with the sign
+// bit set, so it sorts above every negative one; a negative float has
+// all its bits flipped, so a larger magnitude gives a smaller key. The
+// largest key, OrderKey(+Inf), is 0xFFF0000000000000, so key+1 never
+// wraps. NaN has no place in the order; Build rejects it.
+func OrderKey(x float64) uint64 {
+	b := math.Float64bits(x + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
 // Index is the immutable columnar layout of a deployment's samples.
 // Build is the only constructor; a built index is never mutated, so it
 // is safe for unsynchronized concurrent use.
 type Index struct {
-	// values[start[i]:start[i+1]] are node i's sample values in
-	// non-decreasing order; ranks is parallel to values.
-	values []float64
-	ranks  []int32
+	// keys[start[i]:start[i+1]] are the order keys of node i's sample
+	// values, non-decreasing; ranks is parallel to keys.
+	keys  []uint64
+	ranks []int32
 	// start has len(nodes)+1 entries; start[0] == 0 and
-	// start[len(n)] == len(values).
+	// start[len(n)] == len(keys).
 	start []int32
 	// n[i] is node i's dataset size n_i.
 	n []int32
@@ -47,9 +68,10 @@ type Index struct {
 // Build flattens per-node sample sets (ordered by node id, as returned
 // by the base station) into a columnar index. The sets are copied, not
 // retained. It rejects nil sets, sizes or ranks that do not fit the
-// index's int32 columns, and samples violating the SampleSet rank/value
-// ordering invariants — a corrupt index would silently mis-answer every
-// query, so Build re-checks rather than trusting the caller.
+// index's int32 columns, NaN values, and samples violating the SampleSet
+// rank/value ordering invariants — a corrupt index would silently
+// mis-answer every query, so Build re-checks rather than trusting the
+// caller.
 func Build(sets []*sampling.SampleSet) (*Index, error) {
 	total := 0
 	for i, set := range sets {
@@ -62,10 +84,10 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 		return nil, fmt.Errorf("index: %d samples exceed int32 offsets", total)
 	}
 	ix := &Index{
-		values: make([]float64, 0, total),
-		ranks:  make([]int32, 0, total),
-		start:  make([]int32, len(sets)+1),
-		n:      make([]int32, len(sets)),
+		keys:  make([]uint64, 0, total),
+		ranks: make([]int32, 0, total),
+		start: make([]int32, len(sets)+1),
+		n:     make([]int32, len(sets)),
 	}
 	for i, set := range sets {
 		if set.N < 0 || set.N > math.MaxInt32 {
@@ -78,16 +100,19 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 				return nil, fmt.Errorf("index: node %d sample %d rank %d invalid (prev %d, n=%d)",
 					i, j, s.Rank, prevRank, set.N)
 			}
+			if math.IsNaN(s.Value) {
+				return nil, fmt.Errorf("index: node %d sample %d value is NaN", i, j)
+			}
 			if s.Value < prevValue {
 				return nil, fmt.Errorf("index: node %d sample %d value %v decreases (prev %v)",
 					i, j, s.Value, prevValue)
 			}
-			ix.values = append(ix.values, s.Value)
+			ix.keys = append(ix.keys, OrderKey(s.Value))
 			ix.ranks = append(ix.ranks, int32(s.Rank))
 			prevRank = s.Rank
 			prevValue = s.Value
 		}
-		ix.start[i+1] = int32(len(ix.values))
+		ix.start[i+1] = int32(len(ix.keys))
 		ix.n[i] = int32(set.N)
 		ix.totalN += set.N
 	}
@@ -98,7 +123,7 @@ func Build(sets []*sampling.SampleSet) (*Index, error) {
 func (ix *Index) Nodes() int { return len(ix.n) }
 
 // Samples returns the total number of indexed samples.
-func (ix *Index) Samples() int { return len(ix.values) }
+func (ix *Index) Samples() int { return len(ix.keys) }
 
 // TotalN returns |D| = Σ n_i.
 func (ix *Index) TotalN() int { return ix.totalN }
@@ -106,16 +131,16 @@ func (ix *Index) TotalN() int { return ix.totalN }
 // NodeN returns node i's dataset size n_i.
 func (ix *Index) NodeN(i int) int { return int(ix.n[i]) }
 
-// Node returns node i's value and rank columns (aliases into the index,
+// Node returns node i's key and rank columns (aliases into the index,
 // must not be mutated) and its dataset size n_i.
-func (ix *Index) Node(i int) (values []float64, ranks []int32, n int) {
+func (ix *Index) Node(i int) (keys []uint64, ranks []int32, n int) {
 	lo, hi := ix.start[i], ix.start[i+1]
-	return ix.values[lo:hi:hi], ix.ranks[lo:hi:hi], int(ix.n[i])
+	return ix.keys[lo:hi:hi], ix.ranks[lo:hi:hi], int(ix.n[i])
 }
 
 // MemoryBytes reports the index's approximate resident size — the flat
 // columns only, ignoring the struct header. Exposed so capacity
 // planning and tests can reason about the build-once cost.
 func (ix *Index) MemoryBytes() int {
-	return 8*len(ix.values) + 4*len(ix.ranks) + 4*len(ix.start) + 4*len(ix.n)
+	return 8*len(ix.keys) + 4*len(ix.ranks) + 4*len(ix.start) + 4*len(ix.n)
 }

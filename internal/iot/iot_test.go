@@ -34,6 +34,41 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([][]float64{{1}}, Config{TreeFanout: -1}); err == nil {
 		t.Error("negative fanout should fail")
 	}
+	if _, err := New([][]float64{{1}, {2, math.NaN()}}, Config{}); err == nil {
+		t.Error("NaN reading should fail")
+	}
+}
+
+// TestIngestRejectsNaN checks that Ingest and IngestRound reject a NaN
+// reading and that a rejected round leaves every node unchanged, even
+// the nodes whose batches came before the NaN.
+func TestIngestRejectsNaN(t *testing.T) {
+	t.Parallel()
+	parts, _ := buildParts(t, 4, 800, 3)
+	nw, err := New(parts, Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.EnsureRate(0.3); err != nil {
+		t.Fatal(err)
+	}
+	before := nw.TotalN()
+	if err := nw.Ingest(0, []float64{1, math.NaN()}); err == nil {
+		t.Error("Ingest accepted a NaN reading")
+	}
+	if _, err := nw.AddNode([]float64{math.NaN()}); err == nil {
+		t.Error("AddNode accepted a NaN reading")
+	}
+	round := [][]float64{{1}, {2}, {math.NaN()}, {4}}
+	if err := nw.IngestRound(round); err == nil {
+		t.Error("IngestRound accepted a NaN reading")
+	}
+	if nw.TotalN() != before {
+		t.Errorf("rejected ingests changed N %d -> %d", before, nw.TotalN())
+	}
+	if err := nw.IngestRound([][]float64{{1}, {2}, {math.Inf(1)}, {math.Inf(-1)}}); err != nil {
+		t.Errorf("infinite readings are ordered and must be accepted: %v", err)
+	}
 }
 
 func TestEnsureRateCollectsSamples(t *testing.T) {

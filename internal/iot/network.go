@@ -160,11 +160,30 @@ func (nw *Network) downCountLocked() int {
 	return down
 }
 
+// CheckReadings rejects a batch of per-node readings holding a NaN.
+// NaN has no place in the value order, so no node could sort it, and
+// neither the sampled predecessor/successor searches nor the index's
+// order keys would be defined over it. perNode[i] is reported as
+// position i.
+func CheckReadings(perNode [][]float64) error {
+	for i, values := range perNode {
+		for j, v := range values {
+			if math.IsNaN(v) {
+				return fmt.Errorf("iot: node batch %d reading %d is NaN", i, j)
+			}
+		}
+	}
+	return nil
+}
+
 // New builds a network whose node i holds parts[i]. It returns an error
-// for an empty partition list or invalid config.
+// for an empty partition list, a NaN reading or invalid config.
 func New(parts [][]float64, cfg Config) (*Network, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("iot: need at least one node partition")
+	}
+	if err := CheckReadings(parts); err != nil {
+		return nil, err
 	}
 	if cfg.Topology != Flat && cfg.Topology != Tree {
 		return nil, fmt.Errorf("iot: unknown topology %d", cfg.Topology)
@@ -513,6 +532,9 @@ func (nw *Network) AddNode(values []float64) (int, error) {
 	if len(values) == 0 {
 		return 0, fmt.Errorf("iot: a joining node needs initial readings")
 	}
+	if err := CheckReadings([][]float64{values}); err != nil {
+		return 0, err
+	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	// Next id past the highest assigned, so explicit (sparse) numberings
@@ -595,6 +617,9 @@ func (nw *Network) coverageLocked() float64 {
 // rate — refreshes it, and queries in between still see a consistent
 // (pre-ingest) snapshot at the base station.
 func (nw *Network) Ingest(nodeID int, values []float64) error {
+	if err := CheckReadings([][]float64{values}); err != nil {
+		return err
+	}
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	return nw.ingest(nodeID, values)
@@ -620,11 +645,16 @@ func (nw *Network) ingest(nodeID int, values []float64) error {
 // EnsureRate, the refresh attempts every reachable node: a failed node
 // leaves its pre-round sample serving and the error wraps
 // ErrPartialRound while the rest of the deployment is still refreshed.
+// A round holding a NaN reading is rejected whole, before any node
+// ingests.
 func (nw *Network) IngestRound(perNode [][]float64) error {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	if len(perNode) != len(nw.nodes) {
 		return fmt.Errorf("iot: round has %d node batches, network has %d nodes", len(perNode), len(nw.nodes))
+	}
+	if err := CheckReadings(perNode); err != nil {
+		return err
 	}
 	// perNode is positional: batch i goes to the i-th node regardless of
 	// its (possibly global) id.

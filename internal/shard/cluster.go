@@ -300,12 +300,17 @@ func (c *Cluster) EnsureRate(p float64) (*iot.CollectionReport, error) {
 // refreshes every shard at its current rate: perNode[g] goes to global
 // node g. Like the single-broker round, a partially failed refresh
 // returns an error wrapping iot.ErrPartialRound while the surviving
-// shards' state is still refreshed.
+// shards' state is still refreshed. A round holding a NaN reading is
+// rejected whole, before any shard ingests.
 func (c *Cluster) IngestRound(perNode [][]float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(perNode) != c.k {
 		return fmt.Errorf("shard: round has %d node batches, cluster has %d nodes", len(perNode), c.k)
+	}
+	// Reject a NaN before any shard ingests, so the round fails whole.
+	if err := iot.CheckReadings(perNode); err != nil {
+		return err
 	}
 	c.clock++
 	split := make([][][]float64, len(c.nets))

@@ -217,6 +217,18 @@ func TestClusterIngestAndSetDown(t *testing.T) {
 	if err := cluster.IngestRound(round[:3]); err == nil {
 		t.Error("short round: no error")
 	}
+	// A NaN anywhere rejects the whole round before any shard ingests.
+	nanRound := make([][]float64, 10)
+	nanRound[9] = []float64{math.NaN()}
+	for i := 0; i < 9; i++ {
+		nanRound[i] = []float64{1}
+	}
+	if err := cluster.IngestRound(nanRound); err == nil {
+		t.Error("NaN round: no error")
+	}
+	if got, want := cluster.TotalN(), single.TotalN(); got != want {
+		t.Errorf("after rejected NaN round: N %d != %d", got, want)
+	}
 
 	if err := cluster.SetDown(7, true); err != nil {
 		t.Fatal(err)

@@ -461,3 +461,39 @@ func TestSystemTopK(t *testing.T) {
 		t.Error("k=0 should fail")
 	}
 }
+
+// TestNaNReadingsRejected pins that no public entry point admits a NaN
+// reading: NaN has no place in the value order the estimators search,
+// so a deployment holding one would answer from undefined searches.
+// A rejected ingest leaves the deployment unchanged.
+func TestNaNReadingsRejected(t *testing.T) {
+	t.Parallel()
+	series := testSeries(t, 61)
+	withNaN := append(append([]float64(nil), series.Values[:2000]...), math.NaN())
+	for _, shards := range []int{0, 3} {
+		if _, err := NewSystem(withNaN, Options{Nodes: 8, Shards: shards, Seed: 61}); err == nil {
+			t.Errorf("shards=%d: NewSystem accepted a NaN reading", shards)
+		}
+		sys, err := NewSystem(series.Values[:2000], Options{Nodes: 8, Shards: shards, Seed: 61})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sys.N()
+		if err := sys.Ingest([]float64{math.NaN(), 3}); err == nil {
+			t.Errorf("shards=%d: Ingest accepted a NaN reading", shards)
+		}
+		if sys.N() != before {
+			t.Errorf("shards=%d: rejected ingest changed N %d -> %d", shards, before, sys.N())
+		}
+		if _, err := sys.Count(40, 120, Accuracy{Alpha: 0.1, Delta: 0.5}); err != nil {
+			t.Errorf("shards=%d: count after rejected ingest: %v", shards, err)
+		}
+	}
+	mp, err := NewMarketplace(Tariff{C: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mp.AddDataset("ozone", withNaN, Options{Nodes: 8, Seed: 62}); err == nil {
+		t.Error("AddDataset accepted a NaN reading")
+	}
+}
